@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/core/fault_points.h"
+#include "src/core/engine/fault_points.h"
 #include "src/fault/schedules.h"
 #include "src/structures/tx_hashmap.h"
 

@@ -6,26 +6,19 @@
  * quantify the instrumentation-cost gap the paper attributes to
  * STM-vs-HTM paths (e.g. Genome's "very high instrumentation costs").
  *
- * The `/on:` microops are the commit-path campaign's A/B cells
- * (docs/COMMIT_PATH.md): each pins ONE front's flag off (A) and on (B)
- * on the exact path that front optimizes -- redo-buffer read-own-writes
- * for the hash index, foreign-commit validation for the read filter,
- * restart-vs-extend for timestamp extension, and a contended
- * disjoint-writer pool for group commit. tools/ab_microops.py drives
- * them in alternating rounds and folds the result into a
- * "microops-ab" BENCH capture.
+ * The commit-path cells (docs/COMMIT_PATH.md) time the exact path each
+ * front optimizes: redo-buffer read-own-writes for the hash index and
+ * foreign-commit validation for the read filter (both always on), and
+ * restart-vs-extend for timestamp extension, the one front still
+ * switchable. Its `/on:` cell pins the flag off (A) and on (B);
+ * tools/ab_microops.py drives it in alternating rounds and folds the
+ * result into a "microops-ab" BENCH capture.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <memory>
-#include <thread>
-#include <vector>
-
 #include "src/api/runtime.h"
 #include "src/structures/tx_rbtree.h"
-#include "src/util/barrier.h"
 
 namespace
 {
@@ -97,15 +90,15 @@ addAllAlgos(benchmark::internal::Benchmark *bench)
 }
 
 // ---------------------------------------------------------------------
-// Commit-path campaign A/B cells (docs/COMMIT_PATH.md). range(0) is
-// the AlgoKind, range(1) toggles exactly one front's flag: 0 = the
+// Commit-path cells (docs/COMMIT_PATH.md). range(0) is the AlgoKind;
+// on the A/B cell, range(1) toggles the timestamp extension: 0 = the
 // honest baseline (A), 1 = the optimization (B). The instrumentation-
-// cost model is zeroed so the A/B delta is the commit path itself, not
-// the modeled libitm overhead both variants would pay equally.
+// cost model is zeroed so the timing is the commit path itself, not
+// the modeled libitm overhead every variant would pay equally.
 // ---------------------------------------------------------------------
 
 RuntimeConfig
-abConfig()
+commitPathConfig()
 {
     RuntimeConfig cfg;
     cfg.stmAccessPenalty = 0;
@@ -132,16 +125,14 @@ writeTxn(TxSession &s, uint64_t *addr, uint64_t value)
 /**
  * Front 2 (redo-buffer hash index): one lazy transaction buffers 64
  * distinct words, then performs 512 read-own-writes lookups. Every
- * lookup must come from the redo buffer -- linear scan (off) vs
- * stamped open-addressing probe (on).
+ * lookup must come from the redo buffer's stamped open-addressing
+ * probe.
  */
 void
 BM_ReadOwnWrites(benchmark::State &state)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    RuntimeConfig cfg = abConfig();
-    cfg.commitPath.redoIndex = state.range(1) != 0;
-    TmRuntime rt(kind, cfg);
+    TmRuntime rt(kind, commitPathConfig());
     ThreadCtx &ctx = rt.registerThread();
     alignas(64) uint64_t words[64] = {};
     for (auto _ : state) {
@@ -154,7 +145,7 @@ BM_ReadOwnWrites(benchmark::State &state)
         });
         benchmark::DoNotOptimize(sum);
     }
-    setAbLabel(state, kind);
+    state.SetLabel(algoKindName(kind));
 }
 
 /**
@@ -162,16 +153,14 @@ BM_ReadOwnWrites(benchmark::State &state)
  * 32 times each -- NOrec's value log keeps duplicates, so the log is
  * 256 entries long while the read summary stays 8 addresses sparse.
  * A second session then commits 8 disjoint writes; each commit forces
- * the reader's next read to validate -- a full 256-entry value walk
- * (off) vs a filter-ring disjointness skip (on).
+ * the reader's next read to validate, which the filter-ring
+ * disjointness skip answers without walking the 256-entry log.
  */
 void
 BM_ValidateAcrossCommits(benchmark::State &state)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    RuntimeConfig cfg = abConfig();
-    cfg.commitPath.readFilter = state.range(1) != 0;
-    TmRuntime rt(kind, cfg);
+    TmRuntime rt(kind, commitPathConfig());
     TxSession &reader = rt.registerThread().session();
     TxSession &writer = rt.registerThread().session();
     alignas(64) uint64_t reads[8] = {};
@@ -195,7 +184,7 @@ BM_ValidateAcrossCommits(benchmark::State &state)
         static_cast<double>(ss.get(Counter::kRevalidations));
     state.counters["skips"] =
         static_cast<double>(ss.get(Counter::kRevalidationsSkipped));
-    setAbLabel(state, kind);
+    state.SetLabel(algoKindName(kind));
 }
 
 /**
@@ -209,7 +198,7 @@ void
 BM_ExtendAcrossCommits(benchmark::State &state)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    RuntimeConfig cfg = abConfig();
+    RuntimeConfig cfg = commitPathConfig();
     cfg.commitPath.tsExtension = state.range(1) != 0;
     TmRuntime rt(kind, cfg);
     TxSession &reader = rt.registerThread().session();
@@ -240,74 +229,20 @@ BM_ExtendAcrossCommits(benchmark::State &state)
     setAbLabel(state, kind);
 }
 
-/**
- * Front 4 (group commit): up to 4 software writers (clamped to the
- * host's core count -- combining needs real parallelism; on fewer
- * cores the cell degenerates to the solo-overhead question) hammer
- * disjoint cache lines through the full run() loop -- every commit
- * takes the global clock. Solo publication (off) vs flat-combining
- * batches (on). Wall-clock timed (the measuring thread only joins
- * the pool).
- */
-void
-BM_GroupCommitWriters(benchmark::State &state)
-{
-    auto kind = static_cast<AlgoKind>(state.range(0));
-    RuntimeConfig cfg = abConfig();
-    cfg.commitPath.groupCommit = state.range(1) != 0;
-    TmRuntime rt(kind, cfg);
-    const unsigned kThreads = std::max(
-        1u, std::min(4u, std::thread::hardware_concurrency()));
-    constexpr unsigned kOpsPerThread = 2048;
-    std::vector<ThreadCtx *> ctxs;
-    for (unsigned t = 0; t < kThreads; ++t)
-        ctxs.push_back(&rt.registerThread());
-    alignas(64) uint64_t words[4 * 8] = {};
-    for (auto _ : state) {
-        SenseBarrier barrier(kThreads);
-        std::vector<std::thread> pool;
-        for (unsigned t = 0; t < kThreads; ++t) {
-            pool.emplace_back([&, t] {
-                ThreadCtx &ctx = *ctxs[t];
-                uint64_t *word = &words[t * 8];
-                barrier.arriveAndWait();
-                for (unsigned op = 0; op < kOpsPerThread; ++op)
-                    rt.run(ctx, [&](Txn &tx) {
-                        tx.store(word, tx.load(word) + 1);
-                    });
-            });
-        }
-        for (auto &th : pool)
-            th.join();
-    }
-    state.SetItemsProcessed(
-        static_cast<int64_t>(state.iterations()) * kThreads *
-        kOpsPerThread);
-    state.counters["threads"] = kThreads;
-    setAbLabel(state, kind);
-}
-
 BENCHMARK(BM_Increment)->Apply(addAllAlgos);
 BENCHMARK(BM_ReadOnlyScan)->Apply(addAllAlgos);
 BENCHMARK(BM_RbTreeGet)->Apply(addAllAlgos);
 
 BENCHMARK(BM_ReadOwnWrites)
-    ->ArgNames({"algo", "on"})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 0})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 1});
+    ->ArgName("algo")
+    ->Arg(static_cast<int>(AlgoKind::kNOrecLazy));
 BENCHMARK(BM_ValidateAcrossCommits)
-    ->ArgNames({"algo", "on"})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 0})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 1});
+    ->ArgName("algo")
+    ->Arg(static_cast<int>(AlgoKind::kNOrecLazy));
 BENCHMARK(BM_ExtendAcrossCommits)
     ->ArgNames({"algo", "on"})
     ->Args({static_cast<int>(AlgoKind::kNOrec), 0})
     ->Args({static_cast<int>(AlgoKind::kNOrec), 1});
-BENCHMARK(BM_GroupCommitWriters)
-    ->ArgNames({"algo", "on"})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 0})
-    ->Args({static_cast<int>(AlgoKind::kNOrecLazy), 1})
-    ->UseRealTime();
 
 } // namespace
 

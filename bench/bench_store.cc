@@ -24,7 +24,7 @@
  *                    [--ops=2000] [--keys=8192] [--zipf=0.8]
  *                    [--deadline-ms=100] [--admission=on|off]
  *                    [--check=on|off] [--check-ops=120]
- *                    [--saturation=on|off] [--group-commit=on|off]
+ *                    [--saturation=on|off]
  *                    [--seed=1] [--json=FILE]
  *
  * Exit status: 0 when every history check passed and the saturation
@@ -89,7 +89,6 @@ struct Config
     uint64_t checkOps = 120;
     unsigned checkThreads = 3;
     bool runSaturation = true;
-    bool groupCommit = false;
     uint64_t seed = 1;
     std::string jsonPath;
 };
@@ -160,10 +159,6 @@ makeStoreConfig(AlgoKind algo, unsigned shards, const Config &cfg)
     sc.kind = algo;
     sc.runtime.rngSeed = cfg.seed;
     sc.runtime.admission.enabled = cfg.admission;
-    // Opt-in group commit (docs/COMMIT_PATH.md front 4): slow-path
-    // lazy writers batch under one clock bump; the check leg then
-    // vets the batched histories for strict serializability.
-    sc.runtime.commitPath.groupCommit = cfg.groupCommit;
     return sc;
 }
 
@@ -560,8 +555,6 @@ parseArgs(int argc, char **argv, Config &cfg)
                 static_cast<unsigned>(std::stoul(v));
         } else if (valueOf("--saturation=", v)) {
             cfg.runSaturation = (v == "on");
-        } else if (valueOf("--group-commit=", v)) {
-            cfg.groupCommit = (v == "on");
         } else if (valueOf("--seed=", v)) {
             cfg.seed = std::stoull(v);
         } else if (valueOf("--json=", v)) {

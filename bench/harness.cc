@@ -77,27 +77,18 @@ parseBenchConfig(const CliOptions &opts)
         }
     }
 
-    // Commit-path campaign switches (docs/COMMIT_PATH.md): the first
-    // three fronts default on, group commit is opt-in; each flag
-    // overrides its default for A/B runs.
-    auto onOff = [&opts](const char *flag, bool &out) {
-        if (!opts.has(flag))
-            return;
-        std::string v = opts.getString(flag, "");
-        if (v == "on") {
-            out = true;
-        } else if (v == "off") {
-            out = false;
-        } else {
-            std::fprintf(stderr, "--%s must be on|off (got '%s')\n",
-                         flag, v.c_str());
+    // Commit-path switch (docs/COMMIT_PATH.md): timestamp extension
+    // defaults on; the flag overrides it for A/B runs.
+    if (opts.has("ts-extension")) {
+        std::string v = opts.getString("ts-extension", "");
+        if (v != "on" && v != "off") {
+            std::fprintf(stderr,
+                         "--ts-extension must be on|off (got '%s')\n",
+                         v.c_str());
             std::exit(2);
         }
-    };
-    onOff("read-filter", cfg.runtime.commitPath.readFilter);
-    onOff("redo-index", cfg.runtime.commitPath.redoIndex);
-    onOff("ts-extension", cfg.runtime.commitPath.tsExtension);
-    onOff("group-commit", cfg.runtime.commitPath.groupCommit);
+        cfg.runtime.commitPath.tsExtension = v == "on";
+    }
 
     if (opts.has("fault-schedule")) {
         std::string name = opts.getString("fault-schedule", "");

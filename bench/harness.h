@@ -61,10 +61,8 @@ struct BenchConfig
  *                               backoff vs cause-keyed randomized)
  *   --irrevocable-pct=N        (percent of ops upgraded to
  *                               irrevocability, workloads permitting)
- *   --read-filter=on|off --redo-index=on|off --ts-extension=on|off
- *   --group-commit=on|off      (commit-path campaign switches,
- *                               docs/COMMIT_PATH.md; the first three
- *                               default on, group commit defaults off)
+ *   --ts-extension=on|off      (eager NOrec timestamp extension,
+ *                               docs/COMMIT_PATH.md; default on)
  * Exits with a message on unknown algorithms or stray arguments.
  */
 BenchConfig parseBenchConfig(const CliOptions &opts);

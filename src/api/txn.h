@@ -12,7 +12,7 @@
 #include <type_traits>
 
 #include "src/api/action_log.h"
-#include "src/api/tx_defs.h"
+#include "src/core/engine/session.h"
 #include "src/mem/memory_manager.h"
 
 namespace rhtm

@@ -365,9 +365,11 @@ makeTsExtensionProgram(bool reverted)
     // against the mid-writeback image, adopts the LOCKED clock, and
     // returns var1==1; its read-only commit then records the
     // impossible {0,1}. The fixed extension blocks on the lock, sees
-    // var0 overwritten, and restarts. Read filter off so extension
-    // always takes the value path; hardware begins scripted dead so
-    // the hybrids run the same software phase (a no-op for pure STM).
+    // var0 overwritten (the writer's published summary covers var0,
+    // so the ring skip declines), and restarts. The reverted branch is
+    // taken before the ring skip, whose stable-clock wait would close
+    // the window. Hardware begins scripted dead so the hybrids run the
+    // same software phase (a no-op for pure STM).
     CheckProgram p;
     p.name = "ts-extend-zombie";
     p.vars = 2;
@@ -378,7 +380,6 @@ makeTsExtensionProgram(bool reverted)
     };
     p.configure = [reverted](RuntimeConfig &cfg) {
         cfg.commitPath.tsExtension = true;
-        cfg.commitPath.readFilter = false;
         cfg.retry.revertTsExtensionFix = reverted;
         cfg.retry.maxFastPathRetries = 0;
         FaultRule hw;
@@ -411,7 +412,6 @@ makeFilterCollisionProgram()
         ThreadSpec{{TxnSpec{{rd(0), rd(1), rd(2)}}}},
     };
     p.configure = [](RuntimeConfig &cfg) {
-        cfg.commitPath.readFilter = true;
         cfg.commitPath.filterSaturateForTest = true;
     };
     p.invariant = [](TmRuntime &rt, std::string *why) {

@@ -173,8 +173,8 @@ CheckProgram makeDeadlineUnwindProgram(bool reverted);
  * commits a mix of pre- and post-writeback values and the history
  * checker rejects the run. Schedule-dependent: only interleavings
  * that park the reader inside the writer's clock-held window fail.
- * Runs with the read filter off so extension always takes the value
- * path (the ring-skip is covered by `filter-collision`).
+ * The reverted branch runs before the ring skip, so the zombie window
+ * stays open; the ring skip itself is covered by `filter-collision`.
  */
 CheckProgram makeTsExtensionProgram(bool reverted);
 

@@ -103,14 +103,13 @@ class CommitSeqlock
      * write-set summary) into @p ring under the version this release
      * produces (commit-path front 1). Must run outside any HTM region:
      * the ring is non-speculative metadata, and a premature
-     * publication would survive an abort. Pass a null ring to skip.
+     * publication would survive an abort.
      */
     void
-    releaseAdvance(uint64_t snapshot, CommitFilterRing *ring,
+    releaseAdvance(uint64_t snapshot, CommitFilterRing &ring,
                    const TxFilter &filter)
     {
-        if (ring != nullptr)
-            ring->publish(clockUnlockAndAdvance(snapshot), filter);
+        ring.publish(clockUnlockAndAdvance(snapshot), filter);
         releaseAdvance(snapshot);
     }
 

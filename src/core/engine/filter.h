@@ -5,9 +5,8 @@
  *
  * TxFilter summarizes a transaction's read or write footprint in 256
  * bits (two probes per address). False positives only cost a spurious
- * full revalidation or a group-commit rejection; false negatives are
- * impossible by construction, which is what the safety argument leans
- * on.
+ * full revalidation; false negatives are impossible by construction,
+ * which is what the safety argument leans on.
  *
  * CommitFilterRing publishes committing writers' write-set summaries
  * keyed by the clock version their commit produced. A reader whose
@@ -81,14 +80,6 @@ class TxFilter
     bool intersects(const TxFilter &other) const
     {
         return intersects(other.w_);
-    }
-
-    /** Union @p bits into this summary (group-commit batch filter). */
-    void
-    merge(const uint64_t *bits)
-    {
-        for (unsigned i = 0; i < kWords; ++i)
-            w_[i] |= bits[i];
     }
 
     void

@@ -97,17 +97,14 @@ class UndoJournal
  *
  * Layout (commit-path front 2, docs/COMMIT_PATH.md): a dense append
  * log of (addr, value) entries -- duplicate addresses collapse in
- * place, so forEach still visits each word exactly once -- plus an
- * optional stamped open-addressing index mapping address to log
- * position. With the index off, lookups fall back to the classic
- * NOrec backward linear scan of the log (the A/B baseline and the
- * oracle the property tests compare against). An optional Bloom
- * summary (front 1) pre-filters lookups -- the common read of an
- * unwritten address answers "miss" from one resident cache line --
- * and doubles as the write filter committers publish to the
- * CommitFilterRing. (The simulated HTM keeps using the fixed-capacity
- * WriteBuffer in src/htm/fixed_table.h: hardware write sets are
- * capacity-bounded; this one grows.)
+ * place, so forEach still visits each word exactly once -- plus a
+ * stamped open-addressing index mapping address to log position, so
+ * read-own-writes is O(1). A Bloom summary (front 1) pre-filters
+ * lookups -- the common read of an unwritten address answers "miss"
+ * from one resident cache line -- and doubles as the write filter
+ * committers publish to the CommitFilterRing. (The simulated HTM keeps
+ * using the fixed-capacity WriteBuffer in src/htm/fixed_table.h:
+ * hardware write sets are capacity-bounded; this one grows.)
  */
 class RedoBuffer
 {
@@ -120,52 +117,28 @@ class RedoBuffer
         log_.reserve(256);
     }
 
-    /**
-     * Select the lookup strategy and whether the Bloom summary is
-     * maintained. Call only while empty (sessions call at begin(),
-     * right after clear()).
-     */
-    void
-    setMode(bool use_index, bool use_filter)
-    {
-        useIndex_ = use_index;
-        useFilter_ = use_filter;
-    }
-
     /** Buffer @p value for @p addr (overwrites an earlier buffering). */
     void
     putGrowing(uint64_t *addr, uint64_t value)
     {
-        if (useFilter_)
-            filter_.add(addr);
-        if (useIndex_) {
-            if (log_.size() >= (mask_ + 1) / 4 * 3)
-                grow();
-            size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
-            for (;;) {
-                IdxSlot &s = idx_[i];
-                if (s.stamp != stamp_) {
-                    s.stamp = stamp_;
-                    s.pos = static_cast<uint32_t>(log_.size());
-                    log_.push_back({addr, value});
-                    return;
-                }
-                if (log_[s.pos].addr == addr) {
-                    log_[s.pos].value = value;
-                    return;
-                }
-                i = (i + 1) & mask_;
-            }
-        }
-        // Linear mode: collapse duplicates by scanning (newest first,
-        // where a rewritten hot word is most likely to sit).
-        for (size_t i = log_.size(); i > 0; --i) {
-            if (log_[i - 1].addr == addr) {
-                log_[i - 1].value = value;
+        filter_.add(addr);
+        if (log_.size() >= (mask_ + 1) / 4 * 3)
+            grow();
+        size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
+        for (;;) {
+            IdxSlot &s = idx_[i];
+            if (s.stamp != stamp_) {
+                s.stamp = stamp_;
+                s.pos = static_cast<uint32_t>(log_.size());
+                log_.push_back({addr, value});
                 return;
             }
+            if (log_[s.pos].addr == addr) {
+                log_[s.pos].value = value;
+                return;
+            }
+            i = (i + 1) & mask_;
         }
-        log_.push_back({addr, value});
     }
 
     /**
@@ -177,28 +150,19 @@ class RedoBuffer
     {
         if (log_.empty())
             return false;
-        if (useFilter_ && !filter_.mightContain(addr))
+        if (!filter_.mightContain(addr))
             return false; // Bloom miss is definitive (no false negatives).
-        if (useIndex_) {
-            size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
-            for (;;) {
-                const IdxSlot &s = idx_[i];
-                if (s.stamp != stamp_)
-                    return false;
-                if (log_[s.pos].addr == addr) {
-                    out = log_[s.pos].value;
-                    return true;
-                }
-                i = (i + 1) & mask_;
-            }
-        }
-        for (size_t i = log_.size(); i > 0; --i) {
-            if (log_[i - 1].addr == addr) {
-                out = log_[i - 1].value;
+        size_t i = mixHash(reinterpret_cast<uint64_t>(addr)) & mask_;
+        for (;;) {
+            const IdxSlot &s = idx_[i];
+            if (s.stamp != stamp_)
+                return false;
+            if (log_[s.pos].addr == addr) {
+                out = log_[s.pos].value;
                 return true;
             }
+            i = (i + 1) & mask_;
         }
-        return false;
     }
 
     /** Number of distinct buffered words. */
@@ -216,7 +180,7 @@ class RedoBuffer
             fn(e.addr, e.value);
     }
 
-    /** Bloom summary of the buffered write set (empty if disabled). */
+    /** Bloom summary of the buffered write set. */
     const TxFilter &filter() const { return filter_; }
 
     /** Test hook: force the universal collision (TmConfig). */
@@ -267,8 +231,6 @@ class RedoBuffer
     size_t mask_;
     std::vector<IdxSlot> idx_;
     uint64_t stamp_;
-    bool useIndex_ = true;
-    bool useFilter_ = true;
     TxFilter filter_;
 };
 
@@ -292,19 +254,15 @@ class ValueReadLog
     void
     push(const uint64_t *addr, uint64_t value)
     {
-        if (filterOn_)
-            filter_.add(addr);
+        filter_.add(addr);
         log_.push_back({addr, value});
     }
 
     /**
-     * Maintain a Bloom summary of the logged addresses (commit-path
-     * front 1); consulted against the CommitFilterRing to skip full
-     * value revalidation. Call at begin(), right after clear().
+     * Bloom summary of the logged read set (commit-path front 1);
+     * consulted against the CommitFilterRing to skip full value
+     * revalidation.
      */
-    void setFilterEnabled(bool on) { filterOn_ = on; }
-
-    /** Bloom summary of the logged read set (empty if disabled). */
     const TxFilter &filter() const { return filter_; }
 
     /** Test hook: force the universal collision (TmConfig). */
@@ -355,7 +313,6 @@ class ValueReadLog
 
   private:
     std::vector<ReadEntry> log_;
-    bool filterOn_ = false;
     TxFilter filter_;
 };
 

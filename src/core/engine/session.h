@@ -27,7 +27,6 @@ namespace rhtm
 {
 
 class DeadlineState;
-struct GroupCommitArena;
 
 /**
  * Thrown by an algorithm to abort and restart the current transaction
@@ -191,18 +190,11 @@ class TxSession
     }
 
     /**
-     * Install the commit-path front switches (docs/COMMIT_PATH.md).
+     * Install the commit-path switches (docs/COMMIT_PATH.md).
      * Called once by the runtime right after construction, before any
      * transaction runs on the session.
      */
     void configureCommitPath(const TmConfig &cfg) { commitCfg_ = cfg; }
-
-    /**
-     * Attach the domain's group-commit arena (commit-path front 4), or
-     * nullptr when group commit is unavailable. Only the lazy NOrec
-     * sessions consult it; everyone else ignores the pointer.
-     */
-    void attachGroupArena(GroupCommitArena *arena) { groupArena_ = arena; }
 
   protected:
     /** Hook for sessions that forward the pointer (SessionCore). */
@@ -211,11 +203,8 @@ class TxSession
     /** The thread's deadline state, or nullptr before attachment. */
     DeadlineState *deadline_ = nullptr;
 
-    /** Commit-path front switches; defaults until configured. */
+    /** Commit-path switches; defaults until configured. */
     TmConfig commitCfg_;
-
-    /** The domain's group-commit arena, or nullptr (front 4 off). */
-    GroupCommitArena *groupArena_ = nullptr;
     /**
      * Bind the accessor descriptor for the mode just entered. @p self
      * is passed back to the descriptor's functions (the derived

@@ -1,13 +1,15 @@
 /**
  * @file
- * TmConfig: the commit-path optimization flags (docs/COMMIT_PATH.md).
+ * TmConfig: the commit-path switches (docs/COMMIT_PATH.md).
  *
- * Each flag gates one of the commit-path speed fronts independently so
- * every combination can be A/B benched and driven through the
- * conformance and check matrices (ROADMAP item 2). The flags are
- * engine-wide policy, not per-algorithm: a session that has no use for
- * a front (e.g. a TL2-family session and the NOrec timestamp
- * extension) simply ignores it.
+ * The commit path ships one design: per-transaction read/write Bloom
+ * filters published through the CommitFilterRing (front 1) and a
+ * hash-indexed redo buffer (front 2) are unconditional. What remains
+ * switchable is the eager NOrec family's timestamp extension (front
+ * 3), whose "off" side is the paper's Section 3.1 eager NOrec, and a
+ * test hook. The switches are engine-wide policy, not per-algorithm:
+ * a session that has no use for one (e.g. a TL2-family session and
+ * the timestamp extension) simply ignores it.
  */
 
 #ifndef RHTM_CORE_ENGINE_TM_CONFIG_H
@@ -17,58 +19,29 @@ namespace rhtm
 {
 
 /**
- * Commit-path front switches, wired from RuntimeConfig into every
- * session (TxSession::configureCommitPath). Defaults are the shipped
- * configuration: a front may default on only once it passes the
- * conformance sweep, the src/check/ program matrix, and the chaos/TSan
- * legs (docs/COMMIT_PATH.md has the safety argument per front).
+ * Commit-path switches, wired from RuntimeConfig into every session
+ * (TxSession::configureCommitPath). Defaults are the shipped
+ * configuration (docs/COMMIT_PATH.md has the safety argument).
  */
 struct TmConfig
 {
-    /**
-     * Front 1: per-transaction read/write-set Bloom filters. Readers
-     * summarize their value-read log; committing writers publish their
-     * write-set summary into the domain's CommitFilterRing while still
-     * holding the clock. A reader that sees the clock move can then
-     * prove every intervening commit disjoint from its read set and
-     * adopt the new snapshot without a full value revalidation. Also
-     * gates the redo-buffer membership pre-filter on lazy read paths.
-     */
-    bool readFilter = true;
-
-    /**
-     * Front 2: open-addressing hash index over the RedoBuffer, making
-     * read-own-writes O(1). Off = the classic NOrec backward linear
-     * scan of the append log (the honest baseline the A/B measures).
-     */
-    bool redoIndex = true;
-
     /**
      * Front 3: timestamp extension for the eager NOrec family. On a
      * clock bump in the read phase, revalidate the (filter-summarized)
      * value read log once and re-stamp txVersion_ instead of
      * restarting. The lazy family has always extended; this wires the
      * same rule into the eager sessions, guarded by
-     * RetryPolicy::revertTsExtensionFix for the check matrix.
+     * RetryPolicy::revertTsExtensionFix for the check matrix. Off =
+     * the paper's eager NOrec, which restarts on any clock move.
      */
     bool tsExtension = true;
 
     /**
-     * Front 4: opt-in flat-combining group commit for slow-path lazy
-     * writers. One clock bump publishes several disjoint-write-set
-     * transactions; filter intersection (or a failed value check)
-     * rejects a member back to its solo commit. Off by default: it
-     * trades single-writer latency for clock-bump throughput, so the
-     * store/bench layers opt in explicitly.
-     */
-    bool groupCommit = false;
-
-    /**
      * Test hook: saturate every Bloom filter (all bits set), the
      * universal hash collision. Forces the filter-intersection path on
-     * every check (skips never taken, group members always rejected to
-     * solo) so the check matrix can pin the collision schedule
-     * deterministically (the filter-collision program).
+     * every check (ring skips never taken) so the check matrix can pin
+     * the collision schedule deterministically (the filter-collision
+     * program).
      */
     bool filterSaturateForTest = false;
 };

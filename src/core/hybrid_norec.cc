@@ -67,19 +67,6 @@ HybridNOrecSession::readPhaseRead(void *self, const uint64_t *addr)
 uint64_t
 HybridNOrecSession::extend()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = core_.stableClock();
-        if (cur == core_.txVersion)
-            return cur; // The mover was a lock that restored; no-op.
-        if (core_.g.filterRing.coveredDisjoint(core_.txVersion, cur,
-                                               readLog_.filter())) {
-            // Disjoint commits only (hardware bumps publish nothing
-            // and fail the slot walk): the log holds, adopt cur.
-            core_.count(Counter::kRevalidationsSkipped);
-            core_.count(Counter::kTsExtensions);
-            return cur;
-        }
-    }
     if (core_.policy.revertTsExtensionFix) {
         // BUG (reverted fix, check-matrix leg): value-check against a
         // possibly mid-writeback memory image and adopt a raw --
@@ -88,6 +75,17 @@ HybridNOrecSession::extend()
         if (!readLog_.consistent(EngineMem(core_.eng)))
             restart();
         return core_.eng.directLoad(&core_.g.clock);
+    }
+    uint64_t cur = core_.stableClock();
+    if (cur == core_.txVersion)
+        return cur; // The mover was a lock that restored; no-op.
+    if (core_.g.filterRing.coveredDisjoint(core_.txVersion, cur,
+                                           readLog_.filter())) {
+        // Disjoint commits only (hardware bumps publish nothing and
+        // fail the slot walk): the log holds, adopt cur.
+        core_.count(Counter::kRevalidationsSkipped);
+        core_.count(Counter::kTsExtensions);
+        return cur;
     }
     core_.count(Counter::kRevalidations);
     uint64_t v =
@@ -145,8 +143,6 @@ HybridNOrecSession::beginSoftware()
     undo_.clear();
     readLog_.clear();
     writeFilter_.clear();
-    readLog_.setFilterEnabled(commitCfg_.tsExtension &&
-                              commitCfg_.readFilter);
     if (commitCfg_.filterSaturateForTest) {
         readLog_.saturateFilterForTest();
         writeFilter_.saturate();
@@ -206,8 +202,7 @@ HybridNOrecSession::inPlaceWrite(uint64_t *addr, uint64_t value)
         sessionFaultPointNoAbort(core_.htm, FaultSite::kSoftwareWrite);
     else
         sessionFaultPoint(core_.htm, FaultSite::kSoftwareWrite);
-    if (commitCfg_.readFilter)
-        writeFilter_.add(addr);
+    writeFilter_.add(addr);
     undo_.push(addr, core_.eng.directLoad(addr));
     if (core_.persistOn())
         core_.persist->stage(addr, value);
@@ -237,9 +232,7 @@ HybridNOrecSession::commit()
     htmLockSet_ = false;
     // Publish the write summary for front 1 -- after the HTM lock
     // drops (the ring is plain metadata, never engine-visible).
-    seqlock_.releaseAdvance(core_.txVersion,
-                            commitCfg_.readFilter ? &core_.g.filterRing
-                                                  : nullptr,
+    seqlock_.releaseAdvance(core_.txVersion, core_.g.filterRing,
                             writeFilter_);
     writeDetected_ = false;
     // The undo journal is dead once the writes are committed.
@@ -290,9 +283,7 @@ HybridNOrecSession::rollbackWriter()
     }
     // The published summary covers the undone addresses, so a reader
     // that glimpsed them can never pass the disjointness skip.
-    seqlock_.releaseAdvance(core_.txVersion,
-                            commitCfg_.readFilter ? &core_.g.filterRing
-                                                  : nullptr,
+    seqlock_.releaseAdvance(core_.txVersion, core_.g.filterRing,
                             writeFilter_);
     writeDetected_ = false;
 }

@@ -102,22 +102,12 @@ class HybridNOrecLazySession : public TxSession
 
     /**
      * Value-validate the read log at a stable clock; returns the new
-     * snapshot version or restarts. With TmConfig::readFilter on,
-     * first consults the CommitFilterRing and skips the value walk
-     * when every commit since txVersion published a disjoint write
-     * summary (commit-path front 1).
+     * snapshot version or restarts. First consults the
+     * CommitFilterRing and skips the value walk when every commit
+     * since txVersion published a disjoint write summary (commit-path
+     * front 1).
      */
     uint64_t validate();
-
-    /**
-     * Group-commit member/combiner path (commit-path front 4); the
-     * hybrid combiner raises the HTM lock around the whole batch
-     * write-back. Returns false if the commit should proceed solo.
-     */
-    bool groupCommitPath();
-
-    static bool groupValidate(void *self);
-    static void groupPublish(void *self);
 
     /** Drop the clock/HTM locks held during a commit write-back. */
     void releaseCommitLocks();
@@ -131,9 +121,6 @@ class HybridNOrecLazySession : public TxSession
     bool htmLockSet_ = false;
     ValueReadLog readLog_;
     RedoBuffer writes_;
-    //! Arena slot id (session identity; survives resetForTest).
-    static constexpr int kGroupSlotUnset = -2;
-    int groupSlot_ = kGroupSlotUnset;
 };
 
 } // namespace rhtm

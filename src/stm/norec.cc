@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "src/core/engine/deadline.h"
-#include "src/core/engine/group_commit.h"
 
 namespace rhtm
 {
@@ -52,10 +51,6 @@ NOrecEagerSession::begin(TxnHint hint)
     undo_.clear();
     readLog_.clear();
     writeFilter_.clear();
-    // The eager read log exists only to extend; off both fronts it
-    // stays empty and the classic protocol is byte-for-byte intact.
-    readLog_.setFilterEnabled(commitCfg_.tsExtension &&
-                              commitCfg_.readFilter);
     if (commitCfg_.filterSaturateForTest) {
         readLog_.saturateFilterForTest();
         writeFilter_.saturate();
@@ -107,22 +102,6 @@ NOrecEagerSession::readPhaseRead(void *self, const uint64_t *addr)
 uint64_t
 NOrecEagerSession::extend()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = stableClock();
-        if (cur == txVersion_)
-            return cur; // The mover was a lock that restored; no-op.
-        if (g_.filterRing.coveredDisjoint(txVersion_, cur,
-                                          readLog_.filter())) {
-            // Every commit in (txVersion_, cur] published a write
-            // summary disjoint from our reads: the log still holds by
-            // construction, adopt cur without touching it.
-            if (stats_) {
-                stats_->inc(Counter::kRevalidationsSkipped);
-                stats_->inc(Counter::kTsExtensions);
-            }
-            return cur;
-        }
-    }
     if (policy_ != nullptr && policy_->revertTsExtensionFix) {
         // BUG (reverted fix, check-matrix leg): value-check against a
         // possibly mid-writeback memory image and adopt a raw --
@@ -130,10 +109,24 @@ NOrecEagerSession::extend()
         // locked value, later reads compare equal and sail past
         // validation while the writer is still writing: zombie reads.
         // The correct path below only ever adopts a stable snapshot
-        // that held still across the value walk.
+        // that held still across the value walk. (Checked before the
+        // filter skip, whose stableClock() would close the window.)
         if (!readLog_.consistent(mem_))
             restart();
         return mem_.load(&g_.clock);
+    }
+    uint64_t cur = stableClock();
+    if (cur == txVersion_)
+        return cur; // The mover was a lock that restored; no-op.
+    if (g_.filterRing.coveredDisjoint(txVersion_, cur, readLog_.filter())) {
+        // Every commit in (txVersion_, cur] published a write summary
+        // disjoint from our reads: the log still holds by
+        // construction, adopt cur without touching it.
+        if (stats_) {
+            stats_->inc(Counter::kRevalidationsSkipped);
+            stats_->inc(Counter::kTsExtensions);
+        }
+        return cur;
     }
     if (stats_)
         stats_->inc(Counter::kRevalidations);
@@ -154,8 +147,7 @@ NOrecEagerSession::readPhaseWrite(void *self, uint64_t *addr,
     s->acquireClockLock();
     s->writeDetected_ = true;
     s->bindDispatch(kWriterDispatch, s);
-    if (s->commitCfg_.readFilter)
-        s->writeFilter_.add(addr);
+    s->writeFilter_.add(addr);
     s->undo_.push(addr, s->mem_.load(addr));
     if (s->persist_ != nullptr)
         s->persist_->stage(addr, value);
@@ -179,8 +171,7 @@ NOrecEagerSession::writerWrite(void *self, uint64_t *addr,
     auto *s = static_cast<NOrecEagerSession *>(self);
     simDelay(s->penalty_);
     ++s->tally_.slowWrites;
-    if (s->commitCfg_.readFilter)
-        s->writeFilter_.add(addr);
+    s->writeFilter_.add(addr);
     s->undo_.push(addr, s->mem_.load(addr));
     if (s->persist_ != nullptr)
         s->persist_->stage(addr, value);
@@ -215,10 +206,7 @@ NOrecEagerSession::commit()
     // write-behind after the release.
     if (persist_ != nullptr)
         persist_->sealStaged();
-    seqlock_.releaseAdvance(txVersion_,
-                            commitCfg_.readFilter ? &g_.filterRing
-                                                  : nullptr,
-                            writeFilter_);
+    seqlock_.releaseAdvance(txVersion_, g_.filterRing, writeFilter_);
     writeDetected_ = false;
     if (persist_ != nullptr)
         persist_->drainAndMark();
@@ -261,10 +249,7 @@ NOrecEagerSession::rollbackWriter()
     // published summary covers the undone addresses (they were
     // written, then written back), so a glimpsing reader can never
     // pass the disjointness skip.
-    seqlock_.releaseAdvance(txVersion_,
-                            commitCfg_.readFilter ? &g_.filterRing
-                                                  : nullptr,
-                            writeFilter_);
+    seqlock_.releaseAdvance(txVersion_, g_.filterRing, writeFilter_);
     writeDetected_ = false;
 }
 
@@ -356,8 +341,6 @@ NOrecLazySession::begin(TxnHint hint)
     readLog_.clear();
     writes_.clear();
     clockHeld_ = false;
-    writes_.setMode(commitCfg_.redoIndex, commitCfg_.readFilter);
-    readLog_.setFilterEnabled(commitCfg_.readFilter);
     if (commitCfg_.filterSaturateForTest) {
         writes_.saturateFilterForTest();
         readLog_.saturateFilterForTest();
@@ -381,19 +364,16 @@ NOrecLazySession::begin(TxnHint hint)
 uint64_t
 NOrecLazySession::validate()
 {
-    if (commitCfg_.readFilter) {
-        uint64_t cur = stableClock();
-        if (cur == txVersion_)
-            return cur; // The mover was a lock that restored; no-op.
-        if (g_.filterRing.coveredDisjoint(txVersion_, cur,
-                                          readLog_.filter())) {
-            // Every commit in (txVersion_, cur] published a write
-            // summary disjoint from our read summary: no logged value
-            // can have changed, adopt cur without the value walk.
-            if (stats_)
-                stats_->inc(Counter::kRevalidationsSkipped);
-            return cur;
-        }
+    uint64_t cur = stableClock();
+    if (cur == txVersion_)
+        return cur; // The mover was a lock that restored; no-op.
+    if (g_.filterRing.coveredDisjoint(txVersion_, cur, readLog_.filter())) {
+        // Every commit in (txVersion_, cur] published a write summary
+        // disjoint from our read summary: no logged value can have
+        // changed, adopt cur without the value walk.
+        if (stats_)
+            stats_->inc(Counter::kRevalidationsSkipped);
+        return cur;
     }
     if (stats_)
         stats_->inc(Counter::kRevalidations);
@@ -451,14 +431,6 @@ NOrecLazySession::commit()
         }
         return;
     }
-    // Front 4: eligible writers first try the group arena; a combined
-    // member returns here fully published by someone else's bump.
-    // Durable transactions stay solo (the redo payload must seal under
-    // this thread's own lock hold), as do serialized/irrevocable ones
-    // (they already hold the clock).
-    if (!clockHeld_ && commitCfg_.groupCommit && groupArena_ != nullptr &&
-        persist_ == nullptr && groupCommitPath())
-        return;
     if (!clockHeld_) {
         txVersion_ = seqlock_.acquireValidating(
             txVersion_, [this] { return validate(); });
@@ -473,112 +445,10 @@ NOrecLazySession::commit()
     });
     if (persist_ != nullptr)
         persist_->sealStaged();
-    seqlock_.releaseAdvance(txVersion_,
-                            commitCfg_.readFilter ? &g_.filterRing
-                                                  : nullptr,
-                            writes_.filter());
+    seqlock_.releaseAdvance(txVersion_, g_.filterRing, writes_.filter());
     clockHeld_ = false;
     if (persist_ != nullptr)
         persist_->drainAndMark();
-}
-
-bool
-NOrecLazySession::groupValidate(void *self)
-{
-    // Combiner context: the clock lock is held, memory is quiescent
-    // (modulo the batch's own writes, which are the point).
-    auto *s = static_cast<NOrecLazySession *>(self);
-    return s->readLog_.consistent(s->mem_);
-}
-
-void
-NOrecLazySession::groupPublish(void *self)
-{
-    auto *s = static_cast<NOrecLazySession *>(self);
-    s->writes_.forEach([s](uint64_t *addr, uint64_t value) {
-        s->mem_.store(addr, value);
-    });
-}
-
-bool
-NOrecLazySession::groupCommitPath()
-{
-    if (groupSlot_ == kGroupSlotUnset)
-        groupSlot_ = groupArena_->acquireSlot();
-    if (groupSlot_ < 0)
-        return false; // Arena full: this session commits solo forever.
-    unsigned slot = static_cast<unsigned>(groupSlot_);
-    // Combiner body: the caller holds the clock lock with no request
-    // of its own posted. Write back, fold in pending peers (the
-    // arena's pending hint makes this one load when nobody waits),
-    // and publish the batch with a single advance.
-    auto combinerPublish = [this] {
-        clockHeld_ = true;
-        writes_.forEach([this](uint64_t *addr, uint64_t value) {
-            mem_.store(addr, value);
-        });
-        TxFilter batch = writes_.filter();
-        GroupCommitArena::CombineResult res = groupArena_->combine(batch);
-        if (stats_ && res.joined > 0)
-            stats_->inc(Counter::kGroupCommitLeads);
-        seqlock_.releaseAdvance(txVersion_,
-                                commitCfg_.readFilter ? &g_.filterRing
-                                                      : nullptr,
-                                batch);
-        clockHeld_ = false;
-    };
-    // Uncontended first try: the clock was free, so skip the arena
-    // round-trip entirely (no request copy, no slot CASes) -- solo
-    // commits must not pay for the batching they don't need.
-    if (seqlock_.tryAcquireAt(txVersion_)) {
-        combinerPublish();
-        return true;
-    }
-    GroupRequest req;
-    req.self = this;
-    req.validate = &groupValidate;
-    req.publish = &groupPublish;
-    req.readFilter = &readLog_.filter();
-    req.writeFilter = &writes_.filter();
-    groupArena_->post(slot, req);
-    for (;;) {
-        if (seqlock_.tryAcquireAt(txVersion_)) {
-            // We are the combiner: withdraw our request (we publish
-            // ourselves), write back, then fold in any pending peers.
-            groupArena_->withdrawOwn(slot);
-            combinerPublish();
-            return true;
-        }
-        uint32_t st = groupArena_->stateOf(slot);
-        if (st == GroupCommitArena::kCombined) {
-            groupArena_->reclaim(slot);
-            if (stats_)
-                stats_->inc(Counter::kGroupCommitJoins);
-            return true;
-        }
-        if (st == GroupCommitArena::kRejected) {
-            groupArena_->reclaim(slot);
-            if (stats_)
-                stats_->inc(Counter::kGroupCommitRejects);
-            return false; // Bounce to the solo commit path.
-        }
-        if (!clockIsLocked(mem_.load(&g_.clock)) &&
-            groupArena_->tryWithdraw(slot)) {
-            // The clock moved while unlocked (a combiner finished
-            // without us, or a solo writer committed). The slot is
-            // ours again, so unwinding is safe: poll the deadline and
-            // revalidate -- either may throw -- then repost at the
-            // fresh snapshot.
-            if (deadline_ != nullptr)
-                deadline_->poll();
-            txVersion_ = validate();
-            groupArena_->post(slot, req);
-            continue;
-        }
-        // Pending and claimed-or-locked: a combiner may be deciding
-        // our fate; we must not unwind while it can still publish us.
-        backoff_.pause();
-    }
 }
 
 void

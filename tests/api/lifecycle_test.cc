@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "src/api/runtime.h"
-#include "src/core/fault_points.h"
+#include "src/core/engine/fault_points.h"
 #include "src/fault/schedules.h"
 #include "tests/test_support.h"
 

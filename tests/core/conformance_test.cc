@@ -440,27 +440,18 @@ TEST_P(ConformanceTest, IrrevocableGrantSuppressesDeadline)
 
 TEST_P(ConformanceTest, CommitPathFlagMatrix)
 {
-    // The commit-path speed campaign (docs/COMMIT_PATH.md) is four
-    // independently-switchable fronts; semantics must be identical at
-    // every point of the 2^4 flag lattice, on every composition --
-    // algorithms a flag does not apply to must simply ignore it. A
-    // 17th leg saturates the Bloom summaries (the universal-collision
+    // The commit path (docs/COMMIT_PATH.md) ships one design with a
+    // single switch, the eager family's timestamp extension; semantics
+    // must be identical with it off and on, on every composition --
+    // algorithms it does not apply to must simply ignore it. A third
+    // leg saturates the Bloom summaries (the universal-collision
     // pathology) so the filter's conservative fallback is on-path too.
-    for (unsigned bits = 0; bits <= 16; ++bits) {
+    for (unsigned leg = 0; leg < 3; ++leg) {
         TmConfig cp;
-        cp.readFilter = (bits & 1) != 0;
-        cp.redoIndex = (bits & 2) != 0;
-        cp.tsExtension = (bits & 4) != 0;
-        cp.groupCommit = (bits & 8) != 0;
-        if (bits == 16) {
-            cp.readFilter = true;
-            cp.filterSaturateForTest = true;
-        }
+        cp.tsExtension = leg != 0;
+        cp.filterSaturateForTest = leg == 2;
         SCOPED_TRACE(std::string(algo()) + " flags=" +
-                     (cp.readFilter ? "F" : "-") +
-                     (cp.redoIndex ? "I" : "-") +
                      (cp.tsExtension ? "X" : "-") +
-                     (cp.groupCommit ? "G" : "-") +
                      (cp.filterSaturateForTest ? "S" : "-"));
         runTransferScenario(GetParam(), nullptr, 4, 80, false, &cp);
     }

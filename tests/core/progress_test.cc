@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/core/progress.h"
+#include "src/core/engine/progress.h"
 
 #include "src/api/runtime.h"
 #include "src/fault/schedules.h"

@@ -2,10 +2,9 @@
  * @file
  * Oracle test for the RedoBuffer's open-addressing index (front 2,
  * docs/COMMIT_PATH.md): over randomized write sets -- duplicate
- * overwrites included -- the indexed buffer, the linear-scan baseline,
- * and a std::unordered_map oracle must agree on every lookup, on the
- * surviving value per address, and on the one-entry-per-address
- * publication contract of forEach.
+ * overwrites included -- the buffer and a std::unordered_map oracle
+ * must agree on every lookup, on the surviving value per address, and
+ * on the one-entry-per-address publication contract of forEach.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +25,6 @@ struct RedoIndexTest : public ::testing::Test
     // Tiny initial index (4 slots) so randomized rounds exercise
     // grow()'s reindex repeatedly, not just the happy path.
     RedoBuffer indexed{2};
-    RedoBuffer linear{2};
     std::unordered_map<uint64_t *, uint64_t> oracle;
     // A small address pool makes duplicate overwrites common.
     std::vector<uint64_t> pool = std::vector<uint64_t>(64);
@@ -35,22 +33,18 @@ struct RedoIndexTest : public ::testing::Test
     put(uint64_t *addr, uint64_t value)
     {
         indexed.putGrowing(addr, value);
-        linear.putGrowing(addr, value);
         oracle[addr] = value;
     }
 
     void
     checkLookup(uint64_t *addr)
     {
-        uint64_t vi = 0, vl = 0;
+        uint64_t vi = 0;
         bool hi = indexed.lookup(addr, vi);
-        bool hl = linear.lookup(addr, vl);
         auto it = oracle.find(addr);
         ASSERT_EQ(hi, it != oracle.end()) << "indexed hit disagrees";
-        ASSERT_EQ(hl, it != oracle.end()) << "linear hit disagrees";
         if (it != oracle.end()) {
             ASSERT_EQ(vi, it->second);
-            ASSERT_EQ(vl, it->second);
         }
     }
 
@@ -72,37 +66,16 @@ struct RedoIndexTest : public ::testing::Test
     }
 };
 
-TEST_F(RedoIndexTest, ModeOffIsTheLinearBaseline)
-{
-    linear.setMode(false, false);
-    indexed.setMode(true, true);
-    Rng rng(31);
-    for (int i = 0; i < 2000; ++i) {
-        uint64_t *addr = &pool[rng.nextBounded(pool.size())];
-        put(addr, rng.next());
-        checkLookup(&pool[rng.nextBounded(pool.size())]);
-    }
-    EXPECT_EQ(indexed.sizeWords(), oracle.size());
-    EXPECT_EQ(linear.sizeWords(), oracle.size());
-    checkPublication(indexed);
-    checkPublication(linear);
-}
-
 TEST_F(RedoIndexTest, RandomizedOracleAgreement)
 {
     // 10k randomized operations across repeated transactions
-    // (clear() between them), alternating every index/filter mode
-    // combination so each clears-then-reuses the same storage.
+    // (clear() between them), so each clears-then-reuses the same
+    // storage.
     Rng rng(7777);
     int ops = 0;
-    int txn = 0;
     while (ops < 10000) {
         indexed.clear();
-        linear.clear();
         oracle.clear();
-        indexed.setMode(true, (txn & 1) != 0);
-        linear.setMode(false, (txn & 2) != 0);
-        ++txn;
         int n = static_cast<int>(rng.nextRange(1, 300));
         for (int i = 0; i < n; ++i, ++ops) {
             uint64_t *addr = &pool[rng.nextBounded(pool.size())];
@@ -112,17 +85,12 @@ TEST_F(RedoIndexTest, RandomizedOracleAgreement)
                 checkLookup(addr);
         }
         ASSERT_EQ(indexed.sizeWords(), oracle.size());
-        ASSERT_EQ(linear.sizeWords(), oracle.size());
         checkPublication(indexed);
-        checkPublication(linear);
     }
 }
 
 TEST_F(RedoIndexTest, GrowReindexKeepsDuplicateCollapse)
 {
-    indexed.setMode(true, true);
-    linear.setMode(false, false);
-    Rng rng(99);
     // Far past several doublings of the 4-slot initial index, with a
     // hot word rewritten between every insertion.
     std::vector<uint64_t> big(4096);
@@ -132,7 +100,6 @@ TEST_F(RedoIndexTest, GrowReindexKeepsDuplicateCollapse)
     }
     EXPECT_EQ(indexed.sizeWords(), big.size() + 1);
     checkPublication(indexed);
-    checkPublication(linear);
     uint64_t v = 0;
     ASSERT_TRUE(indexed.lookup(&pool[0], v));
     EXPECT_EQ(v, big.size() - 1);
@@ -140,7 +107,6 @@ TEST_F(RedoIndexTest, GrowReindexKeepsDuplicateCollapse)
 
 TEST_F(RedoIndexTest, EmptyBufferMissesAndClearForgets)
 {
-    indexed.setMode(true, true);
     uint64_t v = 0;
     EXPECT_FALSE(indexed.lookup(&pool[0], v));
     indexed.putGrowing(&pool[0], 7);

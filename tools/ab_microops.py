@@ -5,11 +5,11 @@ Usage: tools/ab_microops.py [--bench=build/bench/bench_microops]
                             [--rounds=3] [--min-time=0.05]
                             [--band=0.35] [--out=BENCH_10.json]
 
-Runs the four commit-path campaign cells in bench_microops
-(docs/COMMIT_PATH.md) as ALTERNATING off/on rounds -- round 1 runs
-off then on, round 2 on then off, and so on -- so slow drift on the
-host (thermal, noisy neighbors) cannot systematically favor one
-variant. Each (benchmark, variant) keeps its fastest round (min),
+Runs the commit-path A/B cell in bench_microops (the timestamp
+extension, the one front still switchable; docs/COMMIT_PATH.md) as
+ALTERNATING off/on rounds -- round 1 runs off then on, round 2 on then
+off, and so on -- so slow drift on the host (thermal, noisy neighbors)
+cannot systematically favor one variant. Each (benchmark, variant) keeps its fastest round (min),
 the standard noise-floor estimator for microbenchmarks.
 
 The folded result is written as a BENCH capture with the top-level
@@ -18,7 +18,7 @@ families by design (tools/diff_bench.py reports those diffs as
 no-ops), comparable cell-by-cell against future captures of the same
 family via the "throughput" metric (iterations/second).
 
-Exit status is 1 if any front's ON variant is slower than its OFF
+Exit status is 1 if the front's ON variant is slower than its OFF
 baseline beyond the noise band -- an optimization that costs more
 than the container-timing noise is a regression, not noise.
 """
@@ -30,10 +30,7 @@ import sys
 
 # Benchmark base name -> the campaign front its flag toggles.
 FRONTS = {
-    "BM_ValidateAcrossCommits": "read-filter",
-    "BM_ReadOwnWrites": "redo-index",
     "BM_ExtendAcrossCommits": "ts-extension",
-    "BM_GroupCommitWriters": "group-commit",
 }
 
 

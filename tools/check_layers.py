@@ -20,8 +20,8 @@ The engine refactor fixed a strict layering for the library proper
 A file may include project headers only from its own layer or lower
 ranks. In particular the engine must never include the api: the
 sessions are composed BY the runtime, they must not know about it
-(src/api re-exports engine headers for compatibility, not the other
-way around). And the check layer is a pure consumer: it may include
+(src/api includes engine headers directly, never the other way
+around). And the check layer is a pure consumer: it may include
 anything below (it schedules the engine and drives the api), but no
 library code may include src/check -- only tests and bench link it.
 

@@ -111,15 +111,6 @@ echo "== store: smoke + history check, every AlgoKind =="
 build/bench/bench_store --threads=2 --shards=2 --algos=all \
     --ops=200 --check-ops=120 --saturation=off --seed=1
 
-echo "== store: group-commit history check (lazy slow-path batching) =="
-# Front 4 (docs/COMMIT_PATH.md): opt-in flat-combining commit for the
-# lazy kinds' software writers. The StoreObserver records every
-# committed op with batching ON and the strict-serializability checker
-# must still accept the history; the exit status asserts it.
-build/bench/bench_store --threads=2 --shards=2 \
-    --algos=norec-lazy,hy-norec-lazy --ops=150 --check-ops=150 \
-    --check-threads=4 --saturation=off --group-commit=on --seed=1
-
 echo "== store: saturation sweep, 1 shard vs 4 shards =="
 # Disjoint-key scaling cells. On hosts with >= 4 hardware threads the
 # binary enforces that 4 shards out-throughput 1 shard at 8 worker
@@ -161,13 +152,13 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     build-tsan/bench/bench_chaos \
         --schedule=stall-serial --seed=1 --seconds=2 --threads=1,4 \
         --algos=rh-norec,hy-norec-lazy --irrevocable-pct=20 --stats
-    echo "== TSan chaos leg: group commit under stall-publisher =="
-    # Front 4 under the sanitizer: combiner/member handoffs, the
-    # cross-thread publish, and the withdraw/repost loop are exactly
-    # the shapes TSan exists to vet.
+    echo "== TSan chaos leg: lazy kinds under stall-publisher =="
+    # The lazy kinds' publication window under the sanitizer: the
+    # commit write-back, the filter-ring publish and the readers'
+    # ring walk race exactly where stall-publisher stretches them.
     build-tsan/bench/bench_chaos \
         --schedule=stall-publisher --seed=1 --seconds=2 --threads=1,4 \
-        --algos=norec-lazy,hy-norec-lazy --group-commit=on --stats
+        --algos=norec-lazy,hy-norec-lazy --stats
 fi
 
 echo "ci gate passed"

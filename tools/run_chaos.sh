@@ -72,19 +72,18 @@ for schedule in $SCHEDULES; do
     done
 done
 
-# Group-commit soak (docs/COMMIT_PATH.md front 4): the lazy kinds'
-# flat-combining commit under the schedule that stretches publish
-# windows -- maximal combiner/member overlap -- plus scripted stalls.
-# Conservation + opacity + quiescence are checked per cell as above.
-echo "== group-commit soak: lazy kinds x seeds {$SEEDS} =="
+# Lazy-kind publish soak: the lazy kinds' commit write-back and
+# filter-ring publish under the schedule that stretches publish
+# windows, plus scripted stalls. Conservation + opacity + quiescence
+# are checked per cell as above.
+echo "== stall-publisher soak: lazy kinds x seeds {$SEEDS} =="
 for seed in $SEEDS; do
-    echo "-- stall-publisher + group commit seed=$seed"
+    echo "-- stall-publisher seed=$seed"
     if ! "$BUILD_DIR/bench/bench_chaos" \
             --schedule=stall-publisher --seed="$seed" \
             --seconds="$SECONDS_PER_CELL" --threads="$THREADS" \
-            --algos=norec-lazy,hy-norec-lazy \
-            --group-commit=on --stats; then
-        echo "FAILED: group-commit soak seed=$seed" >&2
+            --algos=norec-lazy,hy-norec-lazy --stats; then
+        echo "FAILED: stall-publisher soak seed=$seed" >&2
         fail=1
     fi
 done
