@@ -21,6 +21,7 @@ main(int argc, char **argv)
     using namespace rhtm;
     CliOptions opts(argc, argv);
     bench::BenchConfig cfg = bench::parseBenchConfig(opts);
+    opts.exitOnErrors();
     cfg.algos = {AlgoKind::kNOrec, AlgoKind::kNOrecLazy};
 
     for (unsigned mutation : {10u, 40u}) {

@@ -23,6 +23,7 @@ main(int argc, char **argv)
     RbTreeBenchParams params;
     params.mutationPct =
         static_cast<unsigned>(opts.getInt("mutation", 10));
+    opts.exitOnErrors();
     auto factory = [params] {
         return std::make_unique<RbTreeBenchWorkload>(params);
     };

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     using namespace rhtm;
     CliOptions opts(argc, argv);
     bench::BenchConfig base = bench::parseBenchConfig(opts);
+    opts.exitOnErrors();
 
     auto factory = [] {
         IntruderParams params;

@@ -239,30 +239,18 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::string list = opts.getString("pathologies", "");
-    if (list.empty()) {
-        ac.pathologies = allPathologies();
-    } else {
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t comma = list.find(',', pos);
-            std::string name = list.substr(
-                pos, comma == std::string::npos ? std::string::npos
-                                                : comma - pos);
-            if (!name.empty()) {
-                Pathology p;
-                if (!pathologyFromString(name, p)) {
-                    std::fprintf(stderr, "unknown pathology: %s\n",
-                                 name.c_str());
-                    return 2;
-                }
-                ac.pathologies.push_back(p);
-            }
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
+    for (const std::string &name : opts.getList("pathologies", {})) {
+        Pathology p;
+        if (!pathologyFromString(name, p)) {
+            std::fprintf(stderr, "unknown pathology: %s\n",
+                         name.c_str());
+            return 2;
         }
+        ac.pathologies.push_back(p);
     }
+    if (ac.pathologies.empty())
+        ac.pathologies = allPathologies();
+    opts.exitOnErrors();
 
     bench::printCsvHeader();
     std::vector<AdvCell> cells;

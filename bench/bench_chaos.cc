@@ -224,28 +224,13 @@ main(int argc, char **argv)
         static_cast<unsigned>(opts.getInt("accounts", 64));
     bool want_stats = opts.has("stats");
 
-    std::vector<std::string> schedules = chaosScheduleNames();
-    if (opts.has("schedule")) {
-        schedules.clear();
-        std::string list = opts.getString("schedule", "");
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t comma = list.find(',', pos);
-            std::string name =
-                list.substr(pos, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - pos);
-            if (!name.empty())
-                schedules.push_back(name);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-        if (schedules.empty()) {
-            std::fprintf(stderr, "--schedule needs at least one name\n");
-            return 2;
-        }
+    std::vector<std::string> schedules =
+        opts.getList("schedule", chaosScheduleNames());
+    if (schedules.empty()) {
+        std::fprintf(stderr, "--schedule needs at least one name\n");
+        return 2;
     }
+    opts.exitOnErrors();
 
     bool all_ok = true;
     for (const std::string &schedule : schedules) {

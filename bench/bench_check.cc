@@ -75,12 +75,6 @@ int
 main(int argc, char **argv)
 {
     CliOptions cli(argc, argv);
-    if (!cli.errors().empty()) {
-        for (const std::string &e : cli.errors())
-            std::fprintf(stderr, "bad argument: %s\n", e.c_str());
-        return 2;
-    }
-
     ExploreOptions opts;
     std::string modeName = cli.getString("mode", "random");
     if (!exploreModeFromString(modeName, opts.mode)) {
@@ -148,10 +142,14 @@ main(int argc, char **argv)
         }
     }
 
-    if (cli.has("replay")) {
+    bool replay = cli.has("replay");
+    std::string tok = cli.getString("replay", "");
+    bool history = cli.has("history");
+    cli.exitOnErrors();
+
+    if (replay) {
         // Re-execute one schedule token (as printed on failure) and
         // show its verdict -- with --history, the recorded events too.
-        std::string tok = cli.getString("replay", "");
         int failures = 0;
         for (AlgoKind kind : kinds) {
             for (const CheckProgram &p : programs) {
@@ -171,7 +169,7 @@ main(int argc, char **argv)
                     std::printf("  checker: %s: %s\n",
                                 checkVerdictName(out.check.verdict),
                                 out.check.detail.c_str());
-                if (cli.has("history"))
+                if (history)
                     std::printf("%s", out.historyText.c_str());
                 failures += out.failed() ? 1 : 0;
             }

@@ -322,31 +322,22 @@ main(int argc, char **argv)
         cc.revertReplayUnsealed = true;
     }
 
-    std::string sites = opts.getString(
-        "sites", "pre-seal,post-seal,mid-writeback,post-marker");
-    size_t pos = 0;
-    while (pos <= sites.size()) {
-        size_t comma = sites.find(',', pos);
-        std::string key = sites.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (!key.empty()) {
-            FaultSite site;
-            if (!siteFromKey(key, &site)) {
-                std::fprintf(stderr, "unknown crash site: %s\n",
-                             key.c_str());
-                return 2;
-            }
-            cc.sites.push_back(site);
+    for (const std::string &key :
+         opts.getList("sites", {"pre-seal", "post-seal", "mid-writeback",
+                                "post-marker"})) {
+        FaultSite site;
+        if (!siteFromKey(key, &site)) {
+            std::fprintf(stderr, "unknown crash site: %s\n",
+                         key.c_str());
+            return 2;
         }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
+        cc.sites.push_back(site);
     }
     if (cc.sites.empty()) {
         std::fprintf(stderr, "--sites needs at least one site\n");
         return 2;
     }
+    opts.exitOnErrors();
 
     bench::printCsvHeader();
     std::vector<CrashCell> cells;

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     params.genomeLength =
         static_cast<unsigned>(opts.getInt("length", 32768));
     params.duplication = static_cast<unsigned>(opts.getInt("dup", 4));
+    opts.exitOnErrors();
 
     bench::runBenchmark("genome", [params] {
         return std::make_unique<GenomeWorkload>(params);

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     IntruderParams params;
     // The stream wraps with fresh flow ids, so any run length works.
     params.flows = static_cast<unsigned>(opts.getInt("flows", 4096));
+    opts.exitOnErrors();
 
     bench::runBenchmark("intruder", [params] {
         return std::make_unique<IntruderWorkload>(params);

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     KmeansParams params;
     params.clusters =
         static_cast<unsigned>(opts.getInt("clusters", 16));
+    opts.exitOnErrors();
 
     bench::runBenchmark("kmeans", [params] {
         return std::make_unique<KmeansWorkload>(params);

@@ -21,6 +21,7 @@ main(int argc, char **argv)
     LabyrinthParams params;
     params.width = static_cast<unsigned>(opts.getInt("width", 128));
     params.height = static_cast<unsigned>(opts.getInt("height", 128));
+    opts.exitOnErrors();
 
     bench::runBenchmark("labyrinth", [params] {
         return std::make_unique<LabyrinthWorkload>(params);

@@ -7,12 +7,10 @@
  * STM-vs-HTM paths (e.g. Genome's "very high instrumentation costs").
  *
  * The commit-path cells (docs/COMMIT_PATH.md) time the exact path each
- * front optimizes: redo-buffer read-own-writes for the hash index and
- * foreign-commit validation for the read filter (both always on), and
- * restart-vs-extend for timestamp extension, the one front still
- * switchable. Its `/on:` cell pins the flag off (A) and on (B);
- * tools/ab_microops.py drives it in alternating rounds and folds the
- * result into a "microops-ab" BENCH capture.
+ * front optimizes: redo-buffer read-own-writes for the hash index,
+ * foreign-commit validation for the read filter, and the eager
+ * reader's snapshot extension across foreign commits. All three fronts
+ * ship without a switch, so each cell is a plain `algo:` cell.
  */
 
 #include <benchmark/benchmark.h>
@@ -90,26 +88,17 @@ addAllAlgos(benchmark::internal::Benchmark *bench)
 }
 
 // ---------------------------------------------------------------------
-// Commit-path cells (docs/COMMIT_PATH.md). range(0) is the AlgoKind;
-// on the A/B cell, range(1) toggles the timestamp extension: 0 = the
-// honest baseline (A), 1 = the optimization (B). The instrumentation-
-// cost model is zeroed so the timing is the commit path itself, not
-// the modeled libitm overhead every variant would pay equally.
+// Commit-path cells (docs/COMMIT_PATH.md). range(0) is the AlgoKind.
+// The instrumentation-cost model is zeroed so the timing is the commit
+// path itself, not the modeled libitm overhead every kind pays.
 // ---------------------------------------------------------------------
 
 RuntimeConfig
-commitPathConfig()
+penaltyFreeConfig()
 {
     RuntimeConfig cfg;
     cfg.stmAccessPenalty = 0;
     return cfg;
-}
-
-void
-setAbLabel(benchmark::State &state, AlgoKind kind)
-{
-    state.SetLabel(std::string(algoKindName(kind)) +
-                   (state.range(1) != 0 ? "/on" : "/off"));
 }
 
 /** Drive a complete single-location write transaction on @p s. */
@@ -132,7 +121,7 @@ void
 BM_ReadOwnWrites(benchmark::State &state)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    TmRuntime rt(kind, commitPathConfig());
+    TmRuntime rt(kind, penaltyFreeConfig());
     ThreadCtx &ctx = rt.registerThread();
     alignas(64) uint64_t words[64] = {};
     for (auto _ : state) {
@@ -160,7 +149,7 @@ void
 BM_ValidateAcrossCommits(benchmark::State &state)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    TmRuntime rt(kind, commitPathConfig());
+    TmRuntime rt(kind, penaltyFreeConfig());
     TxSession &reader = rt.registerThread().session();
     TxSession &writer = rt.registerThread().session();
     alignas(64) uint64_t reads[8] = {};
@@ -189,18 +178,14 @@ BM_ValidateAcrossCommits(benchmark::State &state)
 
 /**
  * Front 3 (timestamp extension): an eager reader interleaves 8 reads
- * with 8 disjoint foreign commits. The classic protocol (off) restarts
- * on every commit and redoes the prior reads in the quiet window; the
- * extension (on) absorbs each commit in place. Both variants perform
- * exactly 8 foreign commits, so the protocol is the only difference.
+ * with 8 disjoint foreign commits, each of which the next read absorbs
+ * by extending its snapshot in place.
  */
 void
 BM_ExtendAcrossCommits(benchmark::State &state)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    RuntimeConfig cfg = commitPathConfig();
-    cfg.commitPath.tsExtension = state.range(1) != 0;
-    TmRuntime rt(kind, cfg);
+    TmRuntime rt(kind, penaltyFreeConfig());
     TxSession &reader = rt.registerThread().session();
     TxSession &writer = rt.registerThread().session();
     alignas(64) uint64_t reads[8] = {};
@@ -208,25 +193,15 @@ BM_ExtendAcrossCommits(benchmark::State &state)
     for (auto _ : state) {
         uint64_t sum = 0;
         reader.begin(TxnHint::kNone);
-        unsigned i = 0;
-        while (i < 8) {
-            try {
-                sum += reader.read(&reads[i]);
-            } catch (const TxRestart &) {
-                reader.onRestart();
-                reader.begin(TxnHint::kNone);
-                for (unsigned j = 0; j < i; ++j)
-                    sum += reader.read(&reads[j]);
-                continue; // Retry read i on the fresh snapshot.
-            }
+        for (uint64_t i = 0; i < 8; ++i) {
+            sum += reader.read(&reads[i]);
             writeTxn(writer, &foreign[i], i);
-            ++i;
         }
         reader.commit(); // Read-only eager commit: never restarts.
         reader.onComplete();
         benchmark::DoNotOptimize(sum);
     }
-    setAbLabel(state, kind);
+    state.SetLabel(algoKindName(kind));
 }
 
 BENCHMARK(BM_Increment)->Apply(addAllAlgos);
@@ -240,9 +215,8 @@ BENCHMARK(BM_ValidateAcrossCommits)
     ->ArgName("algo")
     ->Arg(static_cast<int>(AlgoKind::kNOrecLazy));
 BENCHMARK(BM_ExtendAcrossCommits)
-    ->ArgNames({"algo", "on"})
-    ->Args({static_cast<int>(AlgoKind::kNOrec), 0})
-    ->Args({static_cast<int>(AlgoKind::kNOrec), 1});
+    ->ArgName("algo")
+    ->Arg(static_cast<int>(AlgoKind::kNOrec));
 
 } // namespace
 

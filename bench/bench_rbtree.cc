@@ -23,6 +23,7 @@ main(int argc, char **argv)
     bench::BenchConfig cfg = bench::parseBenchConfig(opts);
     auto mutations = opts.getIntList("mutation", {4, 10, 40});
     unsigned size = static_cast<unsigned>(opts.getInt("size", 10000));
+    opts.exitOnErrors();
 
     for (int64_t mutation : mutations) {
         RbTreeBenchParams params;

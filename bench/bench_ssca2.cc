@@ -19,6 +19,7 @@ main(int argc, char **argv)
     bench::BenchConfig cfg = bench::parseBenchConfig(opts);
     Ssca2Params params;
     params.nodes = static_cast<unsigned>(opts.getInt("nodes", 16384));
+    opts.exitOnErrors();
 
     bench::runBenchmark("ssca2", [params] {
         return std::make_unique<Ssca2Workload>(params);

@@ -28,13 +28,14 @@
  *                    [--seed=1] [--json=FILE]
  *
  * Exit status: 0 when every history check passed and the saturation
- * invariant held (when measured), 1 otherwise.
+ * invariant held (when measured), 1 otherwise; 2 on an unknown flag or
+ * a malformed value.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -45,6 +46,7 @@
 #include "src/stats/latency.h"
 #include "src/store/sharded_store.h"
 #include "src/util/barrier.h"
+#include "src/util/cli.h"
 #include "src/util/rng.h"
 #include "src/util/zipf.h"
 
@@ -482,90 +484,59 @@ runSaturationCell(AlgoKind algo, unsigned shards, unsigned threads,
     return c;
 }
 
-std::vector<std::string>
-splitList(const std::string &s)
+/** Parse the flags; exits 2 on an unknown flag or a malformed value. */
+Config
+parseArgs(const CliOptions &opts)
 {
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
-bool
-parseArgs(int argc, char **argv, Config &cfg)
-{
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto valueOf = [&](const char *prefix,
-                           std::string &out) -> bool {
-            size_t len = std::strlen(prefix);
-            if (arg.compare(0, len, prefix) != 0)
-                return false;
-            out = arg.substr(len);
-            return true;
-        };
-        std::string v;
-        if (valueOf("--threads=", v)) {
-            cfg.threads.clear();
-            for (const auto &tok : splitList(v))
-                cfg.threads.push_back(
-                    static_cast<unsigned>(std::stoul(tok)));
-        } else if (valueOf("--shards=", v)) {
-            cfg.shards.clear();
-            for (const auto &tok : splitList(v))
-                cfg.shards.push_back(
-                    static_cast<unsigned>(std::stoul(tok)));
-        } else if (valueOf("--algos=", v)) {
-            if (v != "all") {
-                cfg.algos.clear();
-                for (const auto &tok : splitList(v)) {
-                    AlgoKind kind;
-                    if (!algoKindFromString(tok, kind)) {
-                        std::fprintf(stderr,
-                                     "bench_store: unknown algo %s\n",
-                                     tok.c_str());
-                        return false;
-                    }
-                    cfg.algos.push_back(kind);
-                }
+    Config cfg;
+    auto unsignedList = [&](const char *key, std::vector<unsigned> &out) {
+        std::vector<int64_t> def(out.begin(), out.end());
+        out.clear();
+        for (int64_t v : opts.getIntList(key, def))
+            out.push_back(static_cast<unsigned>(v));
+    };
+    auto count = [&](const char *key, uint64_t def) {
+        return static_cast<uint64_t>(
+            opts.getInt(key, static_cast<int64_t>(def)));
+    };
+    auto onOff = [&](const char *key, bool def) {
+        std::string v = opts.getString(key, def ? "on" : "off");
+        if (v != "on" && v != "off") {
+            std::fprintf(stderr, "bench_store: --%s must be on|off\n",
+                         key);
+            std::exit(2);
+        }
+        return v == "on";
+    };
+    unsignedList("threads", cfg.threads);
+    unsignedList("shards", cfg.shards);
+    std::vector<std::string> algos = opts.getList("algos", {"all"});
+    if (algos != std::vector<std::string>{"all"}) {
+        cfg.algos.clear();
+        for (const std::string &name : algos) {
+            AlgoKind kind;
+            if (!algoKindFromString(name, kind)) {
+                std::fprintf(stderr, "bench_store: unknown algo %s\n",
+                             name.c_str());
+                std::exit(2);
             }
-        } else if (valueOf("--ops=", v)) {
-            cfg.opsPerThread = std::stoull(v);
-        } else if (valueOf("--keys=", v)) {
-            cfg.keys = std::stoull(v);
-        } else if (valueOf("--zipf=", v)) {
-            cfg.zipfTheta = std::stod(v);
-        } else if (valueOf("--deadline-ms=", v)) {
-            cfg.deadlineMs = std::stoull(v);
-        } else if (valueOf("--admission=", v)) {
-            cfg.admission = (v == "on");
-        } else if (valueOf("--check=", v)) {
-            cfg.runCheck = (v == "on");
-        } else if (valueOf("--check-ops=", v)) {
-            cfg.checkOps = std::stoull(v);
-        } else if (valueOf("--check-threads=", v)) {
-            cfg.checkThreads =
-                static_cast<unsigned>(std::stoul(v));
-        } else if (valueOf("--saturation=", v)) {
-            cfg.runSaturation = (v == "on");
-        } else if (valueOf("--seed=", v)) {
-            cfg.seed = std::stoull(v);
-        } else if (valueOf("--json=", v)) {
-            cfg.jsonPath = v;
-        } else {
-            std::fprintf(stderr, "bench_store: unknown flag %s\n",
-                         arg.c_str());
-            return false;
+            cfg.algos.push_back(kind);
         }
     }
-    return true;
+    cfg.opsPerThread = count("ops", cfg.opsPerThread);
+    cfg.keys = count("keys", cfg.keys);
+    cfg.zipfTheta = opts.getDouble("zipf", cfg.zipfTheta);
+    cfg.deadlineMs = count("deadline-ms", cfg.deadlineMs);
+    cfg.admission = onOff("admission", cfg.admission);
+    cfg.runCheck = onOff("check", cfg.runCheck);
+    cfg.checkOps = count("check-ops", cfg.checkOps);
+    cfg.checkThreads =
+        static_cast<unsigned>(count("check-threads", cfg.checkThreads));
+    cfg.runSaturation = onOff("saturation", cfg.runSaturation);
+    cfg.seed = count("seed", cfg.seed);
+    cfg.jsonPath = opts.getString("json", cfg.jsonPath);
+    opts.exitOnErrors();
+    return cfg;
 }
 
 void
@@ -633,9 +604,7 @@ writeJson(const std::string &path, const Config &cfg,
 int
 benchMain(int argc, char **argv)
 {
-    Config cfg;
-    if (!parseArgs(argc, argv, cfg))
-        return 2;
+    Config cfg = parseArgs(CliOptions(argc, argv));
 
     std::vector<Cell> cells;
     bool failed = false;

@@ -19,6 +19,7 @@ main(int argc, char **argv)
     CliOptions opts(argc, argv);
     bench::BenchConfig cfg = bench::parseBenchConfig(opts);
     std::string contention = opts.getString("contention", "both");
+    opts.exitOnErrors();
 
     if (contention == "low" || contention == "both") {
         bench::runBenchmark("vacation-low", [] {

@@ -20,6 +20,7 @@ main(int argc, char **argv)
     YadaParams params;
     params.initialTriangles =
         static_cast<unsigned>(opts.getInt("triangles", 8192));
+    opts.exitOnErrors();
 
     bench::runBenchmark("yada", [params] {
         return std::make_unique<YadaWorkload>(params);

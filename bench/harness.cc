@@ -33,11 +33,6 @@ BenchConfig
 parseBenchConfig(const CliOptions &opts)
 {
     BenchConfig cfg;
-    if (!opts.errors().empty()) {
-        std::fprintf(stderr, "unrecognized argument: %s\n",
-                     opts.errors()[0].c_str());
-        std::exit(2);
-    }
     cfg.threads = opts.getIntList("threads", cfg.threads);
     cfg.seconds = opts.getDouble("seconds", cfg.seconds);
     cfg.seed = static_cast<uint64_t>(opts.getInt("seed", 1));
@@ -62,34 +57,6 @@ parseBenchConfig(const CliOptions &opts)
         std::exit(2);
     }
     cfg.irrevocablePct = static_cast<unsigned>(irrev);
-    if (opts.has("cm")) {
-        std::string cm = opts.getString("cm", "");
-        if (cm == "static") {
-            cfg.runtime.retry.cm = CmKind::kStatic;
-        } else if (cm == "causeaware") {
-            cfg.runtime.retry.cm = CmKind::kCauseAware;
-        } else {
-            std::fprintf(stderr,
-                         "unknown contention manager: %s "
-                         "(known: static causeaware)\n",
-                         cm.c_str());
-            std::exit(2);
-        }
-    }
-
-    // Commit-path switch (docs/COMMIT_PATH.md): timestamp extension
-    // defaults on; the flag overrides it for A/B runs.
-    if (opts.has("ts-extension")) {
-        std::string v = opts.getString("ts-extension", "");
-        if (v != "on" && v != "off") {
-            std::fprintf(stderr,
-                         "--ts-extension must be on|off (got '%s')\n",
-                         v.c_str());
-            std::exit(2);
-        }
-        cfg.runtime.commitPath.tsExtension = v == "on";
-    }
-
     if (opts.has("fault-schedule")) {
         std::string name = opts.getString("fault-schedule", "");
         if (!makeChaosSchedule(name, cfg.seed, cfg.runtime.fault)) {
@@ -104,31 +71,21 @@ parseBenchConfig(const CliOptions &opts)
 
     if (opts.has("algos")) {
         cfg.algos.clear();
-        std::string list = opts.getString("algos", "");
-        size_t pos = 0;
-        while (pos <= list.size()) {
-            size_t comma = list.find(',', pos);
-            std::string name =
-                list.substr(pos, comma == std::string::npos
-                                     ? std::string::npos
-                                     : comma - pos);
+        for (const std::string &name : opts.getList("algos", {})) {
             if (name == "all") {
                 // Sweep mode: every registered algorithm, in the
                 // canonical allAlgoKinds() order.
                 for (AlgoKind kind : allAlgoKinds())
                     cfg.algos.push_back(kind);
-            } else if (!name.empty()) {
-                AlgoKind kind;
-                if (!algoKindFromString(name, kind)) {
-                    std::fprintf(stderr, "unknown algorithm: %s\n",
-                                 name.c_str());
-                    std::exit(2);
-                }
-                cfg.algos.push_back(kind);
+                continue;
             }
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
+            AlgoKind kind;
+            if (!algoKindFromString(name, kind)) {
+                std::fprintf(stderr, "unknown algorithm: %s\n",
+                             name.c_str());
+                std::exit(2);
+            }
+            cfg.algos.push_back(kind);
         }
     }
     return cfg;

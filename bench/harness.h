@@ -57,13 +57,11 @@ struct BenchConfig
  *   --fault-schedule=NAME      (named chaos schedule, seeded by --seed)
  *   --stall-budget=N           (watchdog stall budget in wait ticks;
  *                               0 disables the watchdog)
- *   --cm=static|causeaware     (contention manager: legacy doubling
- *                               backoff vs cause-keyed randomized)
  *   --irrevocable-pct=N        (percent of ops upgraded to
  *                               irrevocability, workloads permitting)
- *   --ts-extension=on|off      (eager NOrec timestamp extension,
- *                               docs/COMMIT_PATH.md; default on)
- * Exits with a message on unknown algorithms or stray arguments.
+ * Exits with a message on unknown algorithms or schedules. The caller
+ * reads its own flags, then calls opts.exitOnErrors() to reject
+ * unknown flags and unparsable values before running.
  */
 BenchConfig parseBenchConfig(const CliOptions &opts);
 

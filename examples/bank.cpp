@@ -27,6 +27,7 @@ main(int argc, char **argv)
         static_cast<unsigned>(opts.getInt("accounts", 64));
     const unsigned transfers =
         static_cast<unsigned>(opts.getInt("transfers", 40000));
+    opts.exitOnErrors();
     constexpr uint64_t kOpening = 1000;
 
     TmRuntime rt(AlgoKind::kRhNOrec);

@@ -33,6 +33,7 @@ main(int argc, char **argv)
         static_cast<unsigned>(opts.getInt("threads", 4));
     const unsigned ops =
         static_cast<unsigned>(opts.getInt("ops", 30000));
+    opts.exitOnErrors();
     constexpr int64_t kKeys = 4096;
 
     TmRuntime rt(kind);

@@ -30,6 +30,7 @@ main(int argc, char **argv)
         static_cast<unsigned>(opts.getInt("consumers", 2));
     const unsigned packets_per_producer =
         static_cast<unsigned>(opts.getInt("packets", 20000));
+    opts.exitOnErrors();
     constexpr uint64_t kSources = 64;
     constexpr uint64_t kQuarantineAt = 500;
 

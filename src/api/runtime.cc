@@ -89,7 +89,8 @@ TmRuntime::makeSession(ThreadCtx &ctx)
             &cfg_.retry);
       case AlgoKind::kNOrecLazy:
         return std::make_unique<NOrecLazySession>(
-            domain_, stats, cfg_.stmAccessPenalty, persist);
+            domain_, stats, cfg_.stmAccessPenalty, persist,
+            &cfg_.retry);
       case AlgoKind::kTl2:
         return std::make_unique<Tl2Session>(*tl2_, stats, ctx.tid(),
                                             cfg_.stmAccessPenalty,
@@ -136,7 +137,6 @@ TmRuntime::registerThread()
             nvm_.get(), ctx->fault_.get(), &ctx->stats_, ctx->tid());
     }
     ctx->session_ = makeSession(*ctx);
-    ctx->session_->configureCommitPath(cfg_.commitPath);
     ctx->deadline_.attachInjector(ctx->fault_.get());
     ctx->session_->attachDeadline(&ctx->deadline_);
     ctxs_.push_back(std::move(ctx));

@@ -379,7 +379,6 @@ makeTsExtensionProgram(bool reverted)
         ThreadSpec{{TxnSpec{{rd(0), rd(1)}}}},
     };
     p.configure = [reverted](RuntimeConfig &cfg) {
-        cfg.commitPath.tsExtension = true;
         cfg.retry.revertTsExtensionFix = reverted;
         cfg.retry.maxFastPathRetries = 0;
         FaultRule hw;
@@ -412,7 +411,7 @@ makeFilterCollisionProgram()
         ThreadSpec{{TxnSpec{{rd(0), rd(1), rd(2)}}}},
     };
     p.configure = [](RuntimeConfig &cfg) {
-        cfg.commitPath.filterSaturateForTest = true;
+        cfg.retry.filterSaturateForTest = true;
     };
     p.invariant = [](TmRuntime &rt, std::string *why) {
         uint64_t skipped =

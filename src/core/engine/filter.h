@@ -98,7 +98,7 @@ class TxFilter
         return any == 0;
     }
 
-    /** All bits set: the universal collision (TmConfig test hook). */
+    /** All bits set: the universal collision (RetryPolicy test hook). */
     void
     saturate()
     {

@@ -7,7 +7,9 @@
  * place and keep an UndoJournal of old values to replay backwards on
  * abort. Lazy algorithms buffer writes in a RedoBuffer and publish at
  * commit. Value-based algorithms (the NOrec family) additionally keep
- * a ValueReadLog and revalidate it whenever the global clock moves.
+ * a ValueReadLog and revalidate it whenever the global clock moves;
+ * its read()/extend() are the one read-validation path every NOrec
+ * software phase (norec, norec-lazy, hy-norec, hy-norec-lazy) runs.
  *
  * The UndoJournal inlines its first entries so the common short
  * transaction never touches the heap on its write path.
@@ -22,8 +24,10 @@
 #include <vector>
 
 #include "src/core/engine/filter.h"
+#include "src/core/engine/globals.h"
 #include "src/core/engine/session.h"
 #include "src/htm/fixed_table.h"
+#include "src/stats/stats.h"
 
 namespace rhtm
 {
@@ -183,7 +187,7 @@ class RedoBuffer
     /** Bloom summary of the buffered write set. */
     const TxFilter &filter() const { return filter_; }
 
-    /** Test hook: force the universal collision (TmConfig). */
+    /** Test hook: force the universal collision (RetryPolicy). */
     void saturateFilterForTest() { filter_.saturate(); }
 
     /** Discard all buffered writes in O(1). */
@@ -265,7 +269,7 @@ class ValueReadLog
      */
     const TxFilter &filter() const { return filter_; }
 
-    /** Test hook: force the universal collision (TmConfig). */
+    /** Test hook: force the universal collision (RetryPolicy). */
     void saturateFilterForTest() { filter_.saturate(); }
 
     void
@@ -309,6 +313,55 @@ class ValueReadLog
             if (mem.load(clock) == snapshot)
                 return snapshot;
         }
+    }
+
+    /**
+     * Snapshot extension: the clock moved off @p from under a software
+     * read phase. Take a stable sample; if it equals @p from the mover
+     * was a lock that restored. If every commit in (from, sample]
+     * published a write summary disjoint from the read summary
+     * (commit-path front 1), the log holds by construction and the
+     * sample is adopted without the value walk -- hardware fast-path
+     * commits publish nothing, so their bumps fail the slot walk.
+     * Otherwise revalidate(). Returns the snapshot the log is valid
+     * at; throws TxRestart if a logged value changed.
+     */
+    template <typename Mem, typename StableRead>
+    uint64_t
+    extend(const Mem &mem, const TmGlobals &g, uint64_t from,
+           StableRead stableRead, ThreadStats *stats) const
+    {
+        uint64_t cur = stableRead();
+        if (cur == from)
+            return cur;
+        if (g.filterRing.coveredDisjoint(from, cur, filter_)) {
+            if (stats != nullptr)
+                stats->inc(Counter::kRevalidationsSkipped);
+            return cur;
+        }
+        if (stats != nullptr)
+            stats->inc(Counter::kRevalidations);
+        return revalidate(mem, &g.clock, stableRead);
+    }
+
+    /**
+     * NOrec's validated read: load @p addr and, while the clock is off
+     * @p snapshot, move the snapshot with @p advance (extend() above,
+     * possibly wrapped; it throws TxRestart on a changed value) and
+     * reload. Logs and returns the value consistent with @p snapshot.
+     */
+    template <typename Mem, typename Advance>
+    uint64_t
+    read(const Mem &mem, const uint64_t *addr, const uint64_t *clock,
+         uint64_t &snapshot, Advance advance)
+    {
+        uint64_t v = mem.load(addr);
+        while (mem.load(clock) != snapshot) {
+            snapshot = advance();
+            v = mem.load(addr);
+        }
+        push(addr, v);
+        return v;
     }
 
   private:

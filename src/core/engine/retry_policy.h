@@ -21,13 +21,6 @@
 namespace rhtm
 {
 
-/** Which contention manager the sessions run (ablation knob). */
-enum class CmKind : uint8_t
-{
-    kStatic,    //!< Legacy doubling backoff, blind to the abort cause.
-    kCauseAware //!< Cause-keyed randomized exponential backoff.
-};
-
 /**
  * The paper's static retry policy: up to 10 hardware restarts for
  * retry-worthy aborts (conflicts), immediate fallback for capacity
@@ -70,9 +63,6 @@ struct RetryPolicy
      */
     unsigned killSwitchCooldownOps = 256;
 
-    /** Contention manager driving inter-attempt waits. */
-    CmKind cm = CmKind::kCauseAware;
-
     /**
      * Stall watchdog: wait iterations a waiter tolerates without the
      * watched holder's epoch advancing before it declares a stall and
@@ -90,8 +80,8 @@ struct RetryPolicy
     uint32_t stallSleepMaxUs = 2000;
 
     // ------------------------------------------------------------------
-    // Test-only fix-reversion switches. Each one re-introduces a bug
-    // this repo has already shipped a fix for, so the interleaving
+    // Test-only switches. Each revert* one re-introduces a bug this
+    // repo has already shipped a fix for, so the interleaving
     // explorer's regression programs (tests/check/regression_test.cc,
     // docs/CHECKING.md) can demonstrate that the checker would have
     // caught it. Never set outside tests.
@@ -143,6 +133,16 @@ struct RetryPolicy
      * program catches the resulting non-serializable history).
      */
     bool revertTsExtensionFix = false;
+
+    /**
+     * Saturate every Bloom filter (all bits set), the universal hash
+     * collision. Forces the filter-intersection path on every check
+     * (ring skips never taken) so the check matrix can pin the
+     * collision schedule deterministically (the filter-collision
+     * program). Not a reverted fix: a pathology the shipped design
+     * must survive.
+     */
+    bool filterSaturateForTest = false;
 };
 
 /**
@@ -212,16 +212,12 @@ waitCauseOf(const HtmAbort &abort)
  * its delays: the fast path is already known-bad, so pounding the
  * coordination words only slows the slow-path transactions that are
  * making actual progress.
- *
- * CmKind::kStatic reproduces the legacy Backoff behaviour (blind
- * doubling to a fixed cap, then yield) as an ablation baseline.
  */
 class ContentionManager
 {
   public:
-    ContentionManager(const RetryPolicy &policy, const TmGlobals *g,
-                      uint64_t seed)
-        : policy_(&policy), globals_(g), rng_(seed)
+    ContentionManager(const TmGlobals *g, uint64_t seed)
+        : globals_(g), rng_(seed)
     {
         reset();
     }
@@ -233,8 +229,6 @@ class ContentionManager
     uint32_t
     nextDelay(WaitCause cause)
     {
-        if (policy_->cm == CmKind::kStatic)
-            return staticDelay();
         const Curve &curve = kCurves[static_cast<unsigned>(cause)];
         uint32_t &level = level_[static_cast<unsigned>(cause)];
         uint64_t raw = uint64_t(curve.base) << level;
@@ -282,7 +276,6 @@ class ContentionManager
         for (unsigned i = 0; i < kNumWaitCauses; ++i)
             level_[i] = 0;
         attempts_ = 0;
-        staticLimit_ = 1;
     }
 
     /**
@@ -320,23 +313,10 @@ class ContentionManager
         {32, 8192}, // kRestart: a concurrent commit moved the clock.
     };
 
-    /** Legacy blind doubling (CmKind::kStatic ablation baseline). */
-    uint32_t
-    staticDelay()
-    {
-        if (staticLimit_ >= 1024)
-            return 0;
-        uint32_t delay = staticLimit_;
-        staticLimit_ <<= 1;
-        return delay;
-    }
-
-    const RetryPolicy *policy_;
     const TmGlobals *globals_;
     Rng rng_;
     uint32_t level_[kNumWaitCauses];
     uint32_t attempts_ = 0;
-    uint32_t staticLimit_ = 1;
 };
 
 /**

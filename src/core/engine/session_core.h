@@ -134,7 +134,7 @@ struct SessionCore
         : eng(engine), domain(dom), g(dom.globals), htm(htmTxn),
           stats(threadStats), policy(retryPolicy),
           retryBudget(retryPolicy),
-          cm(retryPolicy, &dom.globals, cmSeed), penalty(accessPenalty),
+          cm(&dom.globals, cmSeed), penalty(accessPenalty),
           cmSeed_(cmSeed)
     {}
 

@@ -47,21 +47,9 @@ HybridNOrecSession::readPhaseRead(void *self, const uint64_t *addr)
     auto *s = static_cast<HybridNOrecSession *>(self);
     simDelay(s->core_.penalty); // Instrumented access (DESIGN.md).
     ++s->core_.tally.slowReads;
-    uint64_t v = s->core_.eng.directLoad(addr);
-    if (s->commitCfg_.tsExtension) {
-        // Front 3: keep a value log and extend the snapshot across
-        // foreign commits instead of the unconditional restart below.
-        while (s->core_.eng.directLoad(&s->core_.g.clock) !=
-               s->core_.txVersion) {
-            s->core_.txVersion = s->extend();
-            v = s->core_.eng.directLoad(addr);
-        }
-        s->readLog_.push(addr, v);
-        return v;
-    }
-    if (s->core_.eng.directLoad(&s->core_.g.clock) != s->core_.txVersion)
-        s->restart(); // Eager NOrec: no read log, restart on any commit.
-    return v;
+    return s->readLog_.read(EngineMem(s->core_.eng), addr,
+                            &s->core_.g.clock, s->core_.txVersion,
+                            [s] { return s->extend(); });
 }
 
 uint64_t
@@ -76,22 +64,12 @@ HybridNOrecSession::extend()
             restart();
         return core_.eng.directLoad(&core_.g.clock);
     }
-    uint64_t cur = core_.stableClock();
-    if (cur == core_.txVersion)
-        return cur; // The mover was a lock that restored; no-op.
-    if (core_.g.filterRing.coveredDisjoint(core_.txVersion, cur,
-                                           readLog_.filter())) {
-        // Disjoint commits only (hardware bumps publish nothing and
-        // fail the slot walk): the log holds, adopt cur.
-        core_.count(Counter::kRevalidationsSkipped);
+    uint64_t v = readLog_.extend(EngineMem(core_.eng), core_.g,
+                                 core_.txVersion,
+                                 [this] { return core_.stableClock(); },
+                                 core_.stats);
+    if (v != core_.txVersion)
         core_.count(Counter::kTsExtensions);
-        return cur;
-    }
-    core_.count(Counter::kRevalidations);
-    uint64_t v =
-        readLog_.revalidate(EngineMem(core_.eng), &core_.g.clock,
-                            [this] { return core_.stableClock(); });
-    core_.count(Counter::kTsExtensions);
     return v;
 }
 
@@ -143,7 +121,7 @@ HybridNOrecSession::beginSoftware()
     undo_.clear();
     readLog_.clear();
     writeFilter_.clear();
-    if (commitCfg_.filterSaturateForTest) {
+    if (core_.policy.filterSaturateForTest) {
         readLog_.saturateFilterForTest();
         writeFilter_.saturate();
     }
@@ -173,17 +151,10 @@ HybridNOrecSession::begin(TxnHint hint)
 void
 HybridNOrecSession::handleFirstWrite()
 {
-    if (!seqlock_.tryAcquireAt(core_.txVersion)) {
-        if (!commitCfg_.tsExtension)
-            restart();
-        // Front 3 at the upgrade point: extend (value-validating the
-        // read log) and retry instead of restarting.
-        for (;;) {
-            core_.txVersion = extend();
-            if (seqlock_.tryAcquireAt(core_.txVersion))
-                break;
-        }
-    }
+    // The clock moved between our snapshot and the first write: extend
+    // (value-validating the read log) and retry.
+    while (!seqlock_.tryAcquireAt(core_.txVersion))
+        core_.txVersion = extend();
     writeDetected_ = true;
     // Eager writes are about to become visible: kill every hardware
     // fast path before the first store (Section 3.1).
@@ -258,9 +229,9 @@ HybridNOrecSession::becomeIrrevocable()
         // concurrent upgraders in ticket order.
         core_.grantBarrierEnter();
         // Lock the clock exactly as a first write would: a failed CAS
-        // means some writer committed since our snapshot, so our reads
-        // may be stale -- restart() BEFORE granting (the serial lock
-        // stays held, so the replayed attempt upgrades unopposed).
+        // extends the snapshot, and a changed value restarts BEFORE
+        // granting (the serial lock stays held, so the replayed
+        // attempt upgrades unopposed).
         handleFirstWrite();
     }
     // Clock and HTM lock held: reads are direct, no one else can

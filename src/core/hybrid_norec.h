@@ -10,7 +10,9 @@
  *  - Software slow path: the eager encounter-time NOrec STM, which on
  *    its first write locks the clock and raises global_htm_lock,
  *    aborting all hardware transactions for its whole write phase
- *    (the source of the false aborts RH NOrec eliminates).
+ *    (the source of the false aborts RH NOrec eliminates). Its read
+ *    phase value-logs and extends across foreign commits
+ *    (ValueReadLog::extend) where the paper's restarts on any commit.
  *
  * The serial starvation lock of Section 3.3 backs a slow path that
  * restarts too often.
@@ -107,9 +109,8 @@ class HybridNOrecSession : public TxSession
     void handleFirstWrite();
 
     /**
-     * Timestamp extension (commit-path front 3): value-validate the
-     * read-phase log and adopt the new snapshot instead of restarting
-     * on a foreign commit. Only called with TmConfig::tsExtension on.
+     * ValueReadLog::extend, plus the kTsExtensions count and the
+     * revertTsExtensionFix check-matrix leg.
      */
     uint64_t extend();
 
@@ -127,7 +128,6 @@ class HybridNOrecSession : public TxSession
     bool writeDetected_ = false;
     bool htmLockSet_ = false;
     UndoJournal undo_;
-    //! Read-phase value log, kept only for timestamp extension.
     ValueReadLog readLog_;
     //! Write-set summary published to the CommitFilterRing (front 1).
     TxFilter writeFilter_;

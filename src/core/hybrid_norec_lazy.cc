@@ -49,14 +49,9 @@ HybridNOrecLazySession::softRead(void *self, const uint64_t *addr)
     uint64_t buffered;
     if (s->writes_.lookup(addr, buffered))
         return buffered;
-    uint64_t v = s->core_.eng.directLoad(addr);
-    while (s->core_.eng.directLoad(&s->core_.g.clock) !=
-           s->core_.txVersion) {
-        s->core_.txVersion = s->validate();
-        v = s->core_.eng.directLoad(addr);
-    }
-    s->readLog_.push(addr, v);
-    return v;
+    return s->readLog_.read(EngineMem(s->core_.eng), addr,
+                            &s->core_.g.clock, s->core_.txVersion,
+                            [s] { return s->extend(); });
 }
 
 void
@@ -107,7 +102,7 @@ HybridNOrecLazySession::beginSoftware()
     core_.registerFallback();
     readLog_.clear();
     writes_.clear();
-    if (commitCfg_.filterSaturateForTest) {
+    if (core_.policy.filterSaturateForTest) {
         writes_.saturateFilterForTest();
         readLog_.saturateFilterForTest();
     }
@@ -129,23 +124,11 @@ HybridNOrecLazySession::begin(TxnHint hint)
 }
 
 uint64_t
-HybridNOrecLazySession::validate()
+HybridNOrecLazySession::extend()
 {
-    uint64_t cur = core_.stableClock();
-    if (cur == core_.txVersion)
-        return cur; // The mover was a lock that restored; no-op.
-    if (core_.g.filterRing.coveredDisjoint(core_.txVersion, cur,
-                                           readLog_.filter())) {
-        // Every commit in (txVersion, cur] published a disjoint write
-        // summary: the log holds by construction. Hardware fast-path
-        // commits publish nothing, so their bumps fail the slot walk
-        // and fall through to the full walk below.
-        core_.count(Counter::kRevalidationsSkipped);
-        return cur;
-    }
-    core_.count(Counter::kRevalidations);
-    return readLog_.revalidate(EngineMem(core_.eng), &core_.g.clock,
-                               [this] { return core_.stableClock(); });
+    return readLog_.extend(EngineMem(core_.eng), core_.g, core_.txVersion,
+                           [this] { return core_.stableClock(); },
+                           core_.stats);
 }
 
 void
@@ -173,7 +156,7 @@ HybridNOrecLazySession::commit()
         // hoisted this acquisition to the upgrade point, in which case
         // the commit below must not (and cannot) fail.
         core_.txVersion = seqlock_.acquireValidating(
-            core_.txVersion, [this] { return validate(); });
+            core_.txVersion, [this] { return extend(); });
         clockHeld_ = true;
     }
     if (core_.irrevocable)
@@ -228,11 +211,11 @@ HybridNOrecLazySession::becomeIrrevocable()
         // is deadlock-free (lock order: serial BEFORE clock,
         // docs/LIFECYCLE.md) -- then take the clock the way commit()
         // would, revalidating the read log on contention. Either CAS
-        // retry unwinds pre-grant via validate()'s restart, or we end
+        // retry unwinds pre-grant via extend()'s restart, or we end
         // holding the clock with a consistent snapshot.
         core_.grantBarrierEnter();
         core_.txVersion = seqlock_.acquireValidating(
-            core_.txVersion, [this] { return validate(); });
+            core_.txVersion, [this] { return extend(); });
         clockHeld_ = true;
     }
     // Clock held: no writer can publish, reads go direct, buffered
@@ -260,12 +243,6 @@ HybridNOrecLazySession::releaseCommitLocks()
         seqlock_.releaseAdvance(core_.txVersion);
         clockHeld_ = false;
     }
-}
-
-void
-HybridNOrecLazySession::restart()
-{
-    throw TxRestart{};
 }
 
 void

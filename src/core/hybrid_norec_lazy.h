@@ -100,19 +100,11 @@ class HybridNOrecLazySession : public TxSession
 
     void beginSoftware();
 
-    /**
-     * Value-validate the read log at a stable clock; returns the new
-     * snapshot version or restarts. First consults the
-     * CommitFilterRing and skips the value walk when every commit
-     * since txVersion published a disjoint write summary (commit-path
-     * front 1).
-     */
-    uint64_t validate();
+    /** ValueReadLog::extend from core_.txVersion. */
+    uint64_t extend();
 
     /** Drop the clock/HTM locks held during a commit write-back. */
     void releaseCommitLocks();
-
-    [[noreturn]] void restart();
 
     SessionCore core_;
     CommitSeqlock<EngineMem> seqlock_;

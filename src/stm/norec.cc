@@ -13,6 +13,31 @@ namespace
 /** Pure-STM restart storms are rare; serialize after this many. */
 constexpr unsigned kSerializeAfterRestarts = 64;
 
+/**
+ * One wait step while the clock is someone else's. Deadline-safe:
+ * nothing is held, so the poll may unwind freely.
+ */
+void
+pollAndPause(DeadlineState *deadline, Backoff &backoff)
+{
+    if (deadline != nullptr)
+        deadline->poll();
+    backoff.pause();
+}
+
+/** Spin until the clock is unlocked; returns the stable value. */
+uint64_t
+stableClock(const RawMem &mem, const uint64_t *clock,
+            DeadlineState *deadline, Backoff &backoff)
+{
+    for (;;) {
+        uint64_t v = mem.load(clock);
+        if (!clockIsLocked(v))
+            return v;
+        pollAndPause(deadline, backoff);
+    }
+}
+
 } // namespace
 
 //
@@ -29,21 +54,6 @@ NOrecEagerSession::NOrecEagerSession(TmDomain &domain,
       policy_(policy)
 {}
 
-uint64_t
-NOrecEagerSession::stableClock()
-{
-    for (;;) {
-        uint64_t v = mem_.load(&g_.clock);
-        if (!clockIsLocked(v))
-            return v;
-        // Deadline-safe: nothing is held while the clock is someone
-        // else's, so the poll may unwind freely.
-        if (deadline_ != nullptr)
-            deadline_->poll();
-        backoff_.pause();
-    }
-}
-
 void
 NOrecEagerSession::begin(TxnHint hint)
 {
@@ -51,7 +61,7 @@ NOrecEagerSession::begin(TxnHint hint)
     undo_.clear();
     readLog_.clear();
     writeFilter_.clear();
-    if (commitCfg_.filterSaturateForTest) {
+    if (policy_ != nullptr && policy_->filterSaturateForTest) {
         readLog_.saturateFilterForTest();
         writeFilter_.saturate();
     }
@@ -59,18 +69,16 @@ NOrecEagerSession::begin(TxnHint hint)
         // Progress escape hatch: a transaction that keeps restarting
         // takes the writer lock up front and runs exclusively.
         txVersion_ = seqlock_.acquireBlocking(
-            [this] { return stableClock(); },
             [this] {
-                if (deadline_ != nullptr)
-                    deadline_->poll();
-                backoff_.pause();
-            });
+                return stableClock(mem_, &g_.clock, deadline_, backoff_);
+            },
+            [this] { pollAndPause(deadline_, backoff_); });
         writeDetected_ = true;
         bindDispatch(kWriterDispatch, this);
         return;
     }
     writeDetected_ = false;
-    txVersion_ = stableClock();
+    txVersion_ = stableClock(mem_, &g_.clock, deadline_, backoff_);
     bindDispatch(kReadPhaseDispatch, this);
 }
 
@@ -80,23 +88,8 @@ NOrecEagerSession::readPhaseRead(void *self, const uint64_t *addr)
     auto *s = static_cast<NOrecEagerSession *>(self);
     simDelay(s->penalty_);
     ++s->tally_.slowReads;
-    uint64_t v = s->mem_.load(addr);
-    if (s->commitCfg_.tsExtension) {
-        // Front 3: instead of the unconditional restart below, keep a
-        // value log and extend the snapshot across foreign commits.
-        while (s->mem_.load(&s->g_.clock) != s->txVersion_) {
-            s->txVersion_ = s->extend();
-            v = s->mem_.load(addr);
-        }
-        s->readLog_.push(addr, v);
-        return v;
-    }
-    if (s->mem_.load(&s->g_.clock) != s->txVersion_) {
-        // Some writer committed (or is writing): with no read log, the
-        // eager design must restart (paper Section 3.1).
-        s->restart();
-    }
-    return v;
+    return s->readLog_.read(s->mem_, addr, &s->g_.clock, s->txVersion_,
+                            [s] { return s->extend(); });
 }
 
 uint64_t
@@ -110,29 +103,16 @@ NOrecEagerSession::extend()
         // validation while the writer is still writing: zombie reads.
         // The correct path below only ever adopts a stable snapshot
         // that held still across the value walk. (Checked before the
-        // filter skip, whose stableClock() would close the window.)
+        // filter skip, whose stable-clock wait would close the window.)
         if (!readLog_.consistent(mem_))
             restart();
         return mem_.load(&g_.clock);
     }
-    uint64_t cur = stableClock();
-    if (cur == txVersion_)
-        return cur; // The mover was a lock that restored; no-op.
-    if (g_.filterRing.coveredDisjoint(txVersion_, cur, readLog_.filter())) {
-        // Every commit in (txVersion_, cur] published a write summary
-        // disjoint from our reads: the log still holds by
-        // construction, adopt cur without touching it.
-        if (stats_) {
-            stats_->inc(Counter::kRevalidationsSkipped);
-            stats_->inc(Counter::kTsExtensions);
-        }
-        return cur;
-    }
-    if (stats_)
-        stats_->inc(Counter::kRevalidations);
-    uint64_t v = readLog_.revalidate(mem_, &g_.clock,
-                                     [this] { return stableClock(); });
-    if (stats_)
+    uint64_t v = readLog_.extend(
+        mem_, g_, txVersion_,
+        [this] { return stableClock(mem_, &g_.clock, deadline_, backoff_); },
+        stats_);
+    if (v != txVersion_ && stats_)
         stats_->inc(Counter::kTsExtensions);
     return v;
 }
@@ -181,19 +161,10 @@ NOrecEagerSession::writerWrite(void *self, uint64_t *addr,
 void
 NOrecEagerSession::acquireClockLock()
 {
-    if (seqlock_.tryAcquireAt(txVersion_))
-        return;
-    if (commitCfg_.tsExtension) {
-        // Front 3 at the upgrade point: the clock moved between our
-        // snapshot and the first write; extend (value-validating the
-        // read log) and retry instead of restarting.
-        for (;;) {
-            txVersion_ = extend();
-            if (seqlock_.tryAcquireAt(txVersion_))
-                return;
-        }
-    }
-    restart();
+    // The clock moved between our snapshot and the first write:
+    // extend (value-validating the read log) and retry.
+    while (!seqlock_.tryAcquireAt(txVersion_))
+        txVersion_ = extend();
 }
 
 void
@@ -221,8 +192,8 @@ NOrecEagerSession::becomeIrrevocable()
         // Holding the clock is what makes an eager NOrec writer
         // infallible: no other writer can commit, every read is
         // direct, and commit() is a plain unlock-and-advance. A failed
-        // CAS means some writer moved the clock since our snapshot --
-        // restart BEFORE granting (no side effect has run yet).
+        // CAS extends the snapshot, and a changed value restarts
+        // BEFORE granting (no side effect has run yet).
         acquireClockLock();
         writeDetected_ = true;
         bindDispatch(kWriterDispatch, this);
@@ -314,25 +285,12 @@ NOrecEagerSession::onComplete()
 NOrecLazySession::NOrecLazySession(TmDomain &domain,
                                    ThreadStats *stats,
                                    unsigned access_penalty,
-                                   TxPersist *persist)
+                                   TxPersist *persist,
+                                   const RetryPolicy *policy)
     : g_(domain.globals), stats_(stats), penalty_(access_penalty),
-      seqlock_(mem_, &domain.globals.clock), writes_(12), persist_(persist)
+      seqlock_(mem_, &domain.globals.clock), writes_(12),
+      persist_(persist), policy_(policy)
 {}
-
-uint64_t
-NOrecLazySession::stableClock()
-{
-    for (;;) {
-        uint64_t v = mem_.load(&g_.clock);
-        if (!clockIsLocked(v))
-            return v;
-        // Deadline-safe: nothing is held while the clock is someone
-        // else's, so the poll may unwind freely.
-        if (deadline_ != nullptr)
-            deadline_->poll();
-        backoff_.pause();
-    }
-}
 
 void
 NOrecLazySession::begin(TxnHint hint)
@@ -341,44 +299,31 @@ NOrecLazySession::begin(TxnHint hint)
     readLog_.clear();
     writes_.clear();
     clockHeld_ = false;
-    if (commitCfg_.filterSaturateForTest) {
+    if (policy_ != nullptr && policy_->filterSaturateForTest) {
         writes_.saturateFilterForTest();
         readLog_.saturateFilterForTest();
     }
     if (serialized_) {
         txVersion_ = seqlock_.acquireBlocking(
-            [this] { return stableClock(); },
             [this] {
-                if (deadline_ != nullptr)
-                    deadline_->poll();
-                backoff_.pause();
-            });
+                return stableClock(mem_, &g_.clock, deadline_, backoff_);
+            },
+            [this] { pollAndPause(deadline_, backoff_); });
         clockHeld_ = true;
         bindDispatch(kPinnedDispatch, this);
         return;
     }
-    txVersion_ = stableClock();
+    txVersion_ = stableClock(mem_, &g_.clock, deadline_, backoff_);
     bindDispatch(kSoftDispatch, this);
 }
 
 uint64_t
-NOrecLazySession::validate()
+NOrecLazySession::extend()
 {
-    uint64_t cur = stableClock();
-    if (cur == txVersion_)
-        return cur; // The mover was a lock that restored; no-op.
-    if (g_.filterRing.coveredDisjoint(txVersion_, cur, readLog_.filter())) {
-        // Every commit in (txVersion_, cur] published a write summary
-        // disjoint from our read summary: no logged value can have
-        // changed, adopt cur without the value walk.
-        if (stats_)
-            stats_->inc(Counter::kRevalidationsSkipped);
-        return cur;
-    }
-    if (stats_)
-        stats_->inc(Counter::kRevalidations);
-    return readLog_.revalidate(mem_, &g_.clock,
-                               [this] { return stableClock(); });
+    return readLog_.extend(
+        mem_, g_, txVersion_,
+        [this] { return stableClock(mem_, &g_.clock, deadline_, backoff_); },
+        stats_);
 }
 
 uint64_t
@@ -390,13 +335,8 @@ NOrecLazySession::softRead(void *self, const uint64_t *addr)
     uint64_t buffered;
     if (s->writes_.lookup(addr, buffered))
         return buffered;
-    uint64_t v = s->mem_.load(addr);
-    while (s->mem_.load(&s->g_.clock) != s->txVersion_) {
-        s->txVersion_ = s->validate();
-        v = s->mem_.load(addr);
-    }
-    s->readLog_.push(addr, v);
-    return v;
+    return s->readLog_.read(s->mem_, addr, &s->g_.clock, s->txVersion_,
+                            [s] { return s->extend(); });
 }
 
 void
@@ -433,7 +373,7 @@ NOrecLazySession::commit()
     }
     if (!clockHeld_) {
         txVersion_ = seqlock_.acquireValidating(
-            txVersion_, [this] { return validate(); });
+            txVersion_, [this] { return extend(); });
         clockHeld_ = true;
     }
     // Stage-at-publish: the lazy write set only becomes the durable
@@ -459,10 +399,10 @@ NOrecLazySession::becomeIrrevocable()
     if (!clockHeld_) {
         // Same commit-time protocol, hoisted to the upgrade point:
         // CAS-lock the clock, revalidating by value on every failure.
-        // validate() restarts on a changed value -- always BEFORE the
+        // extend() restarts on a changed value -- always BEFORE the
         // grant, so the re-executed body replays no side effect.
         txVersion_ = seqlock_.acquireValidating(
-            txVersion_, [this] { return validate(); });
+            txVersion_, [this] { return extend(); });
         clockHeld_ = true;
     }
     // From here on reads go direct (the pinned descriptor), writes
@@ -475,12 +415,6 @@ NOrecLazySession::becomeIrrevocable()
     bindDispatch(kPinnedDispatch, this);
     if (stats_)
         stats_->inc(Counter::kIrrevocableUpgrades);
-}
-
-void
-NOrecLazySession::restart()
-{
-    throw TxRestart{};
 }
 
 void

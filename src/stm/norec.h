@@ -4,11 +4,15 @@
  * the paper evaluates (Section 3.1):
  *
  *  - eager: encounter-time writes. The first write locks the global
- *    clock and subsequent writes go straight to memory; there is no
- *    read log, so a reader must restart whenever any writer commits.
- *  - lazy: a value-based read log and a deferred write set; the clock
- *    is held only across the commit-time write-back, and readers
- *    revalidate by value instead of restarting.
+ *    clock and subsequent writes go straight to memory.
+ *  - lazy: a deferred write set; the clock is held only across the
+ *    commit-time write-back.
+ *
+ * Both read phases keep NOrec's value-based read log: when the clock
+ * moves, a reader extends its snapshot by value-validating the log
+ * (skipped when the CommitFilterRing proves every intervening commit
+ * disjoint) and restarts only if a logged value changed. The paper's
+ * eager NOrec restarted on any commit instead; see docs/ALGORITHMS.md.
  *
  * These are the pure-software baselines ("NOrec" in the figures); the
  * hybrid algorithms in src/core implement their own slow paths
@@ -16,8 +20,9 @@
  *
  * Composition over the shared engine: both flavours use the
  * CommitSeqlock clock protocol over RawMem (no watchdog epoch -- pure
- * STMs predate the stall machinery and stamp nothing), the eager one
- * the UndoJournal, the lazy one ValueReadLog + RedoBuffer. Each phase
+ * STMs predate the stall machinery and stamp nothing) and the
+ * ValueReadLog's read/extend path, the eager one the UndoJournal, the
+ * lazy one a RedoBuffer. Each phase
  * is a TxDispatch descriptor; there is no SessionCore because the pure
  * STMs have no hardware transaction, mode ladder, or retry budget.
  */
@@ -41,11 +46,12 @@ namespace rhtm
 /**
  * Eager (encounter-time-write) NOrec STM session.
  *
- * Divergence note: the paper's eager NOrec keeps no logs at all; this
- * implementation additionally keeps an undo journal of (addr, old
- * value) pairs, used only to roll back in-place writes when user code
- * throws or calls Txn::retry() after the first write. The journal
- * plays no part in validation, so the measured protocol is unchanged.
+ * Divergence note: the paper's eager NOrec keeps no logs at all and
+ * restarts its read phase on any commit. This one keeps a value read
+ * log and extends across unrelated commits (commit-path front 3), and
+ * an undo journal of (addr, old value) pairs, used only to roll back
+ * in-place writes when user code throws or calls Txn::retry() after
+ * the first write.
  */
 class NOrecEagerSession : public TxSession
 {
@@ -98,17 +104,15 @@ class NOrecEagerSession : public TxSession
     static constexpr TxDispatch kWriterDispatch = {&writerRead,
                                                    &writerWrite};
 
-    /** Spin until the clock is unlocked; returns the stable value. */
-    uint64_t stableClock();
-
-    /** CAS the clock from txVersion_ to its locked form, or restart. */
+    /**
+     * CAS the clock from txVersion_ to its locked form, extending the
+     * snapshot on every failure (restarts on a changed value).
+     */
     void acquireClockLock();
 
     /**
-     * Timestamp extension (commit-path front 3): the clock moved under
-     * a read phase; value-validate the read log and adopt the new
-     * snapshot instead of restarting. Restarts if a logged value
-     * changed. Only called with TmConfig::tsExtension on.
+     * ValueReadLog::extend, plus the kTsExtensions count and the
+     * revertTsExtensionFix check-matrix leg.
      */
     uint64_t extend();
 
@@ -130,8 +134,6 @@ class NOrecEagerSession : public TxSession
     bool irrevocable_ = false;
     unsigned restarts_ = 0;
     UndoJournal undo_;
-    //! Read-phase value log, kept only for timestamp extension; plays
-    //! no part in the classic restart-on-clock-move protocol.
     ValueReadLog readLog_;
     //! Write-set summary published to the CommitFilterRing (front 1).
     TxFilter writeFilter_;
@@ -147,9 +149,11 @@ class NOrecEagerSession : public TxSession
 class NOrecLazySession : public TxSession
 {
   public:
+    /** Parameters as for NOrecEagerSession. */
     NOrecLazySession(TmDomain &domain, ThreadStats *stats,
                      unsigned access_penalty = 0,
-                     TxPersist *persist = nullptr);
+                     TxPersist *persist = nullptr,
+                     const RetryPolicy *policy = nullptr);
 
     void begin(TxnHint hint) override;
     void commit() override;
@@ -184,19 +188,8 @@ class NOrecLazySession : public TxSession
     static constexpr TxDispatch kPinnedDispatch = {&pinnedRead,
                                                    &softWrite};
 
-    uint64_t stableClock();
-
-    /**
-     * Value-validate the read log at a stable clock; returns the new
-     * snapshot version, or restarts on a changed value. First
-     * consults the CommitFilterRing: if every commit since txVersion_
-     * published a write summary disjoint from our read summary, the
-     * log is untouched by construction and the value walk is skipped
-     * (commit-path front 1).
-     */
-    uint64_t validate();
-
-    [[noreturn]] void restart();
+    /** ValueReadLog::extend from txVersion_. */
+    uint64_t extend();
 
     TmGlobals &g_;
     ThreadStats *stats_;
@@ -213,6 +206,7 @@ class NOrecLazySession : public TxSession
     ValueReadLog readLog_;
     RedoBuffer writes_;
     TxPersist *persist_; //!< Durable-commit driver; null = off.
+    const RetryPolicy *policy_; //!< Test hooks only; may be null.
 };
 
 } // namespace rhtm

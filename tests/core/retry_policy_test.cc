@@ -136,9 +136,8 @@ TEST(AdaptiveRetryTest, SeesKnobChangesMadeAfterConstruction)
 
 TEST(ContentionManagerTest, SameSeedProducesIdenticalDelays)
 {
-    RetryPolicy policy;
-    ContentionManager a(policy, nullptr, 42);
-    ContentionManager b(policy, nullptr, 42);
+    ContentionManager a(nullptr, 42);
+    ContentionManager b(nullptr, 42);
     for (int i = 0; i < 64; ++i) {
         WaitCause cause = static_cast<WaitCause>(i % kNumWaitCauses);
         EXPECT_EQ(a.nextDelay(cause), b.nextDelay(cause))
@@ -148,8 +147,7 @@ TEST(ContentionManagerTest, SameSeedProducesIdenticalDelays)
 
 TEST(ContentionManagerTest, DelaysDoubleWithJitterThenSaturate)
 {
-    RetryPolicy policy;
-    ContentionManager cm(policy, nullptr, 7);
+    ContentionManager cm(nullptr, 7);
     // The conflict curve starts at 16 and doubles to its 2048 cap;
     // every delay jitters within [raw/2, raw].
     uint64_t raw = 16;
@@ -171,8 +169,7 @@ TEST(ContentionManagerTest, DelaysDoubleWithJitterThenSaturate)
 
 TEST(ContentionManagerTest, SaturatedWaitsAlternateSpinWithYield)
 {
-    RetryPolicy policy;
-    ContentionManager cm(policy, nullptr, 9);
+    ContentionManager cm(nullptr, 9);
     // Drive the capacity curve (base 8, cap 256) to saturation: five
     // doubling steps walk 8, 16, 32, 64, 128; the sixth hits the cap.
     for (int i = 0; i < 5; ++i)
@@ -187,8 +184,7 @@ TEST(ContentionManagerTest, SaturatedWaitsAlternateSpinWithYield)
 
 TEST(ContentionManagerTest, CausesKeepIndependentGrowthState)
 {
-    RetryPolicy policy;
-    ContentionManager cm(policy, nullptr, 11);
+    ContentionManager cm(nullptr, 11);
     // A burst of conflicts must not inflate the first capacity wait.
     for (int i = 0; i < 6; ++i)
         cm.nextDelay(WaitCause::kConflict);
@@ -205,9 +201,8 @@ TEST(ContentionManagerTest, CausesKeepIndependentGrowthState)
 
 TEST(ContentionManagerTest, TrippedKillSwitchQuadruplesDelays)
 {
-    RetryPolicy policy;
     TmGlobals g;
-    ContentionManager cm(policy, &g, 13);
+    ContentionManager cm(&g, 13);
     g.killSwitch.cooldown.store(1); // Tripped.
     // First conflict wait: raw 16, quadrupled to 64, jitter [32, 64].
     uint32_t delay = cm.nextDelay(WaitCause::kConflict);
@@ -219,34 +214,16 @@ TEST(ContentionManagerTest, TrippedKillSwitchQuadruplesDelays)
     EXPECT_LE(delay, 32u);
 }
 
-TEST(ContentionManagerTest, StaticKindReproducesLegacyDoubling)
-{
-    RetryPolicy policy;
-    policy.cm = CmKind::kStatic;
-    ContentionManager cm(policy, nullptr, 17);
-    // The legacy Backoff: deterministic 1, 2, 4, ... 512, then yields
-    // forever -- regardless of the cause.
-    uint32_t expected = 1;
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(cm.nextDelay(WaitCause::kConflict), expected);
-        expected <<= 1;
-    }
-    for (int i = 0; i < 5; ++i)
-        EXPECT_EQ(cm.nextDelay(WaitCause::kCapacity), 0u)
-            << "saturated static backoff always yields";
-    cm.reset();
-    EXPECT_EQ(cm.nextDelay(WaitCause::kRestart), 1u);
-}
-
 TEST(ContentionManagerTest, OnWaitReportsTheActionTaken)
 {
-    RetryPolicy policy;
-    policy.cm = CmKind::kStatic;
-    ContentionManager cm(policy, nullptr, 19);
-    for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(cm.onWait(WaitCause::kConflict),
+    ContentionManager cm(nullptr, 19);
+    // The capacity curve (base 8, cap 256) spins through its five
+    // doubling steps and its first capped wait; the next capped wait
+    // yields the OS thread.
+    for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(cm.onWait(WaitCause::kCapacity),
                   BackoffAction::kSpun);
-    EXPECT_EQ(cm.onWait(WaitCause::kConflict),
+    EXPECT_EQ(cm.onWait(WaitCause::kCapacity),
               BackoffAction::kYielded);
 }
 

@@ -87,5 +87,44 @@ TEST(CliTest, LastDuplicateWins)
     EXPECT_EQ(opts.getInt("n", 0), 2);
 }
 
+TEST(CliTest, MalformedValuesAreErrors)
+{
+    auto opts = parse({"--threads=abc", "--prob=0.5x", "--list=1,x"});
+    EXPECT_EQ(opts.getInt("threads", 4), 4);
+    EXPECT_DOUBLE_EQ(opts.getDouble("prob", 0.5), 0.5);
+    auto v = opts.getIntList("list", {7});
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_EQ(v[0], 7);
+    EXPECT_EQ(opts.errors().size(), 3u)
+        << "a value that does not parse must not pass silently";
+}
+
+TEST(CliTest, WellFormedValuesAreNotErrors)
+{
+    auto opts = parse({"--threads=8", "--prob=1e-3", "--list=1,2"});
+    opts.getInt("threads", 0);
+    opts.getDouble("prob", 0);
+    opts.getIntList("list", {});
+    EXPECT_TRUE(opts.errors().empty());
+}
+
+TEST(CliTest, UnreadKeysAreReported)
+{
+    auto opts = parse({"--thread=2", "--seconds=1", "--verbose"});
+    opts.getDouble("seconds", 0);
+    EXPECT_TRUE(opts.has("verbose"));
+    EXPECT_EQ(opts.unread(), std::vector<std::string>{"thread"})
+        << "a typo must be reported, not ignored";
+}
+
+TEST(CliTest, ListSplitsOnCommasAndDropsEmpties)
+{
+    auto opts = parse({"--algos=norec,,tl2"});
+    EXPECT_EQ(opts.getList("algos", {}),
+              (std::vector<std::string>{"norec", "tl2"}));
+    EXPECT_EQ(opts.getList("absent", {"all"}),
+              std::vector<std::string>{"all"});
+}
+
 } // namespace
 } // namespace rhtm
