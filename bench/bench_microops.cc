@@ -11,11 +11,19 @@
  * foreign-commit validation for the read filter, and the eager
  * reader's snapshot extension across foreign commits. All three fronts
  * ship without a switch, so each cell is a plain `algo:` cell.
+ *
+ * The plain cells run the library defaults, which inject no HTM
+ * aborts. The `Calibrated` arms run the bench harness's BenchConfig
+ * instead (interrupt-abort probability 5e-4 per access), so every
+ * simulated-HTM access also rolls the fault injector's dice, and
+ * BM_FaultFire times that roll on its own.
  */
 
 #include <benchmark/benchmark.h>
 
+#include "bench/harness.h"
 #include "src/api/runtime.h"
+#include "src/fault/fault_injector.h"
 #include "src/structures/tx_rbtree.h"
 
 namespace
@@ -38,11 +46,18 @@ BM_Increment(benchmark::State &state)
     state.SetLabel(algoKindName(kind));
 }
 
+/** The bench harness's calibrated runtime (BenchConfig defaults). */
+RuntimeConfig
+calibratedConfig()
+{
+    return bench::BenchConfig().runtime;
+}
+
 void
-BM_ReadOnlyScan(benchmark::State &state)
+readOnlyScan(benchmark::State &state, const RuntimeConfig &cfg)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    TmRuntime rt(kind);
+    TmRuntime rt(kind, cfg);
     ThreadCtx &ctx = rt.registerThread();
     alignas(64) uint64_t words[32] = {};
     for (auto _ : state) {
@@ -59,10 +74,22 @@ BM_ReadOnlyScan(benchmark::State &state)
 }
 
 void
-BM_RbTreeGet(benchmark::State &state)
+BM_ReadOnlyScan(benchmark::State &state)
+{
+    readOnlyScan(state, RuntimeConfig());
+}
+
+void
+BM_ReadOnlyScanCalibrated(benchmark::State &state)
+{
+    readOnlyScan(state, calibratedConfig());
+}
+
+void
+rbTreeGet(benchmark::State &state, const RuntimeConfig &cfg)
 {
     auto kind = static_cast<AlgoKind>(state.range(0));
-    TmRuntime rt(kind);
+    TmRuntime rt(kind, cfg);
     ThreadCtx &ctx = rt.registerThread();
     TxRbTree tree;
     for (int64_t k = 0; k < 1024; ++k)
@@ -78,6 +105,37 @@ BM_RbTreeGet(benchmark::State &state)
         key = (key + 97) % 2048;
     }
     state.SetLabel(algoKindName(kind));
+}
+
+void
+BM_RbTreeGet(benchmark::State &state)
+{
+    rbTreeGet(state, RuntimeConfig());
+}
+
+void
+BM_RbTreeGetCalibrated(benchmark::State &state)
+{
+    rbTreeGet(state, calibratedConfig());
+}
+
+/**
+ * One FaultInjector::fire() call under the plan HtmTxn builds from the
+ * calibrated randomAbortProb (p = 5e-4 on tx-read, tx-write and
+ * pre-commit). range(0) = 1 fires tx-read (a site with that rule);
+ * range(0) = 0 fires publish-window (a site with no rule).
+ */
+void
+BM_FaultFire(benchmark::State &state)
+{
+    FaultInjector inj(
+        interruptAbortPlan(calibratedConfig().htm.randomAbortProb, 1), 0);
+    const FaultSite site = state.range(0) != 0 ? FaultSite::kTxRead
+                                               : FaultSite::kPublishWindow;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(inj.fire(site));
+    state.counters["fires"] = static_cast<double>(inj.totalFires());
+    state.SetLabel(faultSiteName(site));
 }
 
 void
@@ -207,6 +265,9 @@ BM_ExtendAcrossCommits(benchmark::State &state)
 BENCHMARK(BM_Increment)->Apply(addAllAlgos);
 BENCHMARK(BM_ReadOnlyScan)->Apply(addAllAlgos);
 BENCHMARK(BM_RbTreeGet)->Apply(addAllAlgos);
+BENCHMARK(BM_ReadOnlyScanCalibrated)->Apply(addAllAlgos);
+BENCHMARK(BM_RbTreeGetCalibrated)->Apply(addAllAlgos);
+BENCHMARK(BM_FaultFire)->ArgName("ruled")->Arg(1)->Arg(0);
 
 BENCHMARK(BM_ReadOwnWrites)
     ->ArgName("algo")

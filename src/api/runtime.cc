@@ -147,8 +147,10 @@ StatsSummary
 TmRuntime::stats() const
 {
     // registerLock_ makes the ctxs_ walk safe against a concurrent
-    // registerThread(); the counter reads themselves are the same
-    // benign torn snapshot they always were.
+    // registerThread(). Each counter is a single-writer relaxed
+    // atomic, so polling during a run is defined: every slot reads a
+    // value its owner really stored, though slots (and threads) are
+    // not read at one instant.
     std::lock_guard<std::mutex> guard(registerLock_);
     StatsSummary summary;
     for (const auto &ctx : ctxs_)

@@ -50,16 +50,47 @@ faultKindName(FaultKind kind)
     return "unknown";
 }
 
+FaultPlan
+interruptAbortPlan(double probability, uint64_t seed)
+{
+    FaultPlan plan;
+    plan.seed = seed;
+    for (FaultSite site : {FaultSite::kTxRead, FaultSite::kTxWrite,
+                           FaultSite::kPreCommit}) {
+        FaultRule rule;
+        rule.site = site;
+        rule.kind = FaultKind::kAbortOther;
+        rule.period = 1;
+        rule.probability = probability >= 1.0 ? 1.0 : probability;
+        plan.add(rule);
+    }
+    return plan;
+}
+
 FaultInjector::FaultInjector(const FaultPlan &plan, unsigned tid)
     : tid_(tid), seed_(plan.seed),
       rng_(plan.seed ^ (uint64_t(tid) * 0x9e3779b97f4a7c15ull)),
       recordTrace_(plan.recordTrace)
 {
-    rules_.reserve(plan.rules.size());
     for (const FaultRule &rule : plan.rules) {
         if (rule.tid >= 0 && static_cast<unsigned>(rule.tid) != tid)
             continue;
-        rules_.push_back(RuleState{rule, 0});
+        if (rule.kind == FaultKind::kNone ||
+            static_cast<unsigned>(rule.site) >= kNumFaultSites)
+            continue;
+        RuleState rs{rule};
+        if (rule.probability < 1.0) {
+            // Threshold compare on the raw draw keeps this exact and
+            // deterministic. A threshold that rounds to 0 (p <= 0 or
+            // below 2^-64) can never fire and never draws: drop it.
+            rs.draws = true;
+            rs.threshold = rule.probability <= 0.0
+                ? 0
+                : static_cast<uint64_t>(std::ldexp(rule.probability, 64));
+            if (rs.threshold == 0)
+                continue;
+        }
+        sites_[static_cast<unsigned>(rule.site)].push_back(rs);
     }
 }
 
@@ -67,8 +98,9 @@ void
 FaultInjector::resetForTest()
 {
     rng_ = Rng(seed_ ^ (uint64_t(tid_) * 0x9e3779b97f4a7c15ull));
-    for (RuleState &rs : rules_)
-        rs.fired = 0;
+    for (auto &rules : sites_)
+        for (RuleState &rs : rules)
+            rs.fired = 0;
     hits_.fill(0);
     fires_.fill(0);
     totalFires_ = 0;
@@ -84,29 +116,18 @@ FaultInjector::fire(FaultSite site, uint32_t *delay_spins)
     const unsigned idx = static_cast<unsigned>(site);
     const uint64_t hit = ++hits_[idx];
 
-    for (RuleState &rs : rules_) {
+    for (RuleState &rs : sites_[idx]) {
         const FaultRule &r = rs.rule;
-        if (r.site != site || r.kind == FaultKind::kNone)
-            continue;
-        if (rs.fired >= r.maxFires)
-            continue;
-        if (hit < r.firstHit)
+        if (rs.fired >= r.maxFires || hit < r.firstHit)
             continue;
         if (r.period == 0) {
             if (hit != r.firstHit)
                 continue;
-        } else if ((hit - r.firstHit) % r.period != 0) {
+        } else if (r.period != 1 && (hit - r.firstHit) % r.period != 0) {
             continue;
         }
-        if (r.probability < 1.0) {
-            // Threshold compare on the raw draw keeps this exact for
-            // probability 0 and deterministic for everything else.
-            uint64_t threshold = r.probability <= 0.0
-                ? 0
-                : static_cast<uint64_t>(std::ldexp(r.probability, 64));
-            if (threshold == 0 || rng_.next() >= threshold)
-                continue;
-        }
+        if (rs.draws && rng_.next() >= rs.threshold)
+            continue;
 
         ++rs.fired;
         ++fires_[idx];

@@ -15,6 +15,12 @@
  * injector's private RNG) -- never of wall-clock time or cross-thread
  * state -- so a fixed seed and a fixed per-thread operation sequence
  * replay the identical fault schedule. See docs/FAULT_INJECTION.md.
+ *
+ * Cost: the plan is compiled once, at construction, into one rule
+ * list per site with each probability pre-scaled to a 2^64 threshold,
+ * so a hit walks only its own site's rules and does no floating-point
+ * work. HtmTxn fires a site on every simulated-HTM access, which makes
+ * this the calibrated interrupt-abort model's per-access price.
  */
 
 #ifndef RHTM_FAULT_FAULT_INJECTOR_H
@@ -157,6 +163,13 @@ struct FaultPlan
     }
 };
 
+/**
+ * The plan behind HtmConfig::randomAbortProb: an interrupt-style
+ * kAbortOther with @p probability (capped at 1) on every tx-read,
+ * tx-write and pre-commit hit, seeded with @p seed.
+ */
+FaultPlan interruptAbortPlan(double probability, uint64_t seed);
+
 /** One recorded firing (when FaultPlan::recordTrace is set). */
 struct FaultEvent
 {
@@ -249,9 +262,14 @@ class FaultInjector
     void resetForTest();
 
   private:
+    /** One compiled rule: the rule, its scaled threshold, its count. */
     struct RuleState
     {
         FaultRule rule;
+        /** True when the rule rolls the RNG (0 < probability < 1). */
+        bool draws = false;
+        /** Fires when a draw is below this (probability * 2^64). */
+        uint64_t threshold = 0;
         uint64_t fired = 0;
     };
 
@@ -259,7 +277,12 @@ class FaultInjector
     uint64_t seed_; //!< Plan base seed, kept for resetForTest.
     Rng rng_;
     bool recordTrace_;
-    std::vector<RuleState> rules_;
+    /**
+     * The compiled plan: per site, this thread's rules in plan order.
+     * kNone rules and rules that can never fire (a probability whose
+     * threshold rounds to 0) are left out; neither draws from the RNG.
+     */
+    std::array<std::vector<RuleState>, kNumFaultSites> sites_;
     std::array<uint64_t, kNumFaultSites> hits_{};
     std::array<uint64_t, kNumFaultSites> fires_{};
     uint64_t totalFires_ = 0;

@@ -43,19 +43,10 @@ HtmTxn::HtmTxn(HtmEngine &eng, unsigned tid, ThreadStats *stats,
         // Legacy knob: express the blunt per-access probability as a
         // fault plan on the access sites (same distribution the old
         // inline dice roll produced).
-        FaultPlan plan;
-        plan.seed = rng_seed ^ (tid * 0x9e3779b9ull);
-        double p = cfg.randomAbortProb >= 1.0 ? 1.0 : cfg.randomAbortProb;
-        for (FaultSite site : {FaultSite::kTxRead, FaultSite::kTxWrite,
-                               FaultSite::kPreCommit}) {
-            FaultRule rule;
-            rule.site = site;
-            rule.kind = FaultKind::kAbortOther;
-            rule.period = 1;
-            rule.probability = p;
-            plan.add(rule);
-        }
-        ownedFault_ = std::make_unique<FaultInjector>(plan, tid);
+        ownedFault_ = std::make_unique<FaultInjector>(
+            interruptAbortPlan(cfg.randomAbortProb,
+                               rng_seed ^ (tid * 0x9e3779b9ull)),
+            tid);
         fault_ = ownedFault_.get();
     }
     readLog_.reserve(1024);
@@ -151,8 +142,10 @@ HtmTxn::read(const uint64_t *addr)
     schedPoint(SchedPoint::kHtmRead, addr);
     faultPoint(FaultSite::kTxRead);
 
+    // A transaction that has not written yet has nothing to forward:
+    // skip the write-buffer probe (read-only bodies never pay it).
     uint64_t buffered;
-    if (writes_.lookup(addr, buffered))
+    if (!writes_.empty() && writes_.lookup(addr, buffered))
         return buffered;
 
     const size_t stripe = eng_.stripeOf(addr);

@@ -86,7 +86,7 @@ void
 StatsSummary::accumulate(const ThreadStats &ts)
 {
     for (unsigned i = 0; i < kNumCounters; ++i)
-        totals[i] += ts.counts[i];
+        totals[i] += ts.get(static_cast<Counter>(i));
 }
 
 std::string

@@ -10,6 +10,7 @@
 #define RHTM_STATS_STATS_H
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -75,31 +76,41 @@ constexpr unsigned kNumCounters =
     static_cast<unsigned>(Counter::kNumCounters);
 
 /**
- * Cache-line padded per-thread counter block. Single-writer; readers
- * aggregate after the run, so plain (non-atomic within a thread) counts
- * would suffice, but the slots are written by exactly one thread and
- * read only at quiescence, making plain uint64_t safe.
+ * Cache-line padded per-thread counter block. Single-writer: only the
+ * owning thread increments a slot, so inc() is a relaxed load plus a
+ * relaxed store (no read-modify-write). Other threads may read the
+ * slots at any time (TmRuntime::stats() polls them during a run); the
+ * relaxed atomics make that a defined, per-counter-exact snapshot and
+ * compile to plain moves on x86.
  */
 struct alignas(64) ThreadStats
 {
-    std::array<uint64_t, kNumCounters> counts{};
+    std::array<std::atomic<uint64_t>, kNumCounters> counts{};
 
-    /** Increment @p c by @p delta. */
+    /** Increment @p c by @p delta (owning thread only). */
     void
     inc(Counter c, uint64_t delta = 1)
     {
-        counts[static_cast<unsigned>(c)] += delta;
+        std::atomic<uint64_t> &slot = counts[static_cast<unsigned>(c)];
+        slot.store(slot.load(std::memory_order_relaxed) + delta,
+                   std::memory_order_relaxed);
     }
 
-    /** Current value of @p c. */
+    /** Current value of @p c (any thread). */
     uint64_t
     get(Counter c) const
     {
-        return counts[static_cast<unsigned>(c)];
+        return counts[static_cast<unsigned>(c)].load(
+            std::memory_order_relaxed);
     }
 
     /** Zero every slot. */
-    void reset() { counts.fill(0); }
+    void
+    reset()
+    {
+        for (std::atomic<uint64_t> &slot : counts)
+            slot.store(0, std::memory_order_relaxed);
+    }
 };
 
 /**

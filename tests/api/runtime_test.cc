@@ -12,6 +12,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/api/runtime.h"
@@ -392,6 +393,48 @@ TEST_P(AlgoTest, StatsReportCommits)
                        s.get(Counter::kCommitsSoftwarePath) +
                        s.get(Counter::kCommitsSerialPath);
     EXPECT_EQ(commits, 100u) << "every operation commits on some path";
+}
+
+TEST(StatsPollTest, OperationsNeverDecreaseWhileWorkersRun)
+{
+    // stats() may be polled while the counters' owners write them
+    // (a live dashboard). Each poll must see a per-counter value the
+    // owner really stored, so the operation total never goes back.
+    // Under -DRHTM_SANITIZE=thread this test must report no race.
+    constexpr unsigned kWorkers = 2;
+    constexpr unsigned kIters = 20000;
+    TmRuntime rt(AlgoKind::kRhNOrec);
+    struct alignas(64) Slot
+    {
+        uint64_t value = 0;
+    };
+    static Slot slots[8];
+    std::atomic<bool> done{false};
+    std::thread workers([&] {
+        test::runThreads(rt, kWorkers, [&](unsigned t, ThreadCtx &ctx) {
+            for (unsigned i = 0; i < kIters; ++i) {
+                Slot &s = slots[(t * 5 + i) % 8];
+                rt.run(ctx, [&](Txn &tx) {
+                    tx.store(&s.value, tx.load(&s.value) + 1);
+                });
+            }
+        });
+        done.store(true, std::memory_order_release);
+    });
+
+    uint64_t last = 0;
+    unsigned polls = 0, decreases = 0;
+    while (!done.load(std::memory_order_acquire)) {
+        const uint64_t now = rt.stats().operations();
+        if (now < last)
+            ++decreases;
+        last = now;
+        ++polls;
+    }
+    workers.join();
+    EXPECT_GT(polls, 0u);
+    EXPECT_EQ(decreases, 0u);
+    EXPECT_EQ(rt.stats().operations(), uint64_t(kWorkers) * kIters);
 }
 
 TEST(AlgoKindNamesTest, NameStringRoundTripCoversEveryKind)

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/fault/fault_injector.h"
 #include "src/fault/schedules.h"
+#include "src/util/rng.h"
 
 namespace rhtm
 {
@@ -245,6 +248,226 @@ TEST(FaultInjectorTest, DifferentTidsDecorrelate)
             ++diverged;
     }
     EXPECT_GT(diverged, 0u);
+}
+
+/**
+ * Reference injector: the uncompiled semantics, kept deliberately
+ * naive. Every hit scans every rule in plan order, recomputes the
+ * probability threshold, and applies the period modulo for every
+ * period. The compiled FaultInjector must agree with it hit for hit,
+ * including which hits draw from the RNG.
+ */
+class ReferenceInjector
+{
+  public:
+    ReferenceInjector(const FaultPlan &plan, unsigned tid)
+        : rng_(plan.seed ^ (uint64_t(tid) * 0x9e3779b97f4a7c15ull)),
+          recordTrace_(plan.recordTrace)
+    {
+        for (const FaultRule &rule : plan.rules) {
+            if (rule.tid >= 0 && static_cast<unsigned>(rule.tid) != tid)
+                continue;
+            rules_.push_back({rule, 0});
+        }
+    }
+
+    FaultKind
+    fire(FaultSite site, uint32_t *delay_spins)
+    {
+        const unsigned idx = static_cast<unsigned>(site);
+        const uint64_t hit = ++hits_[idx];
+        for (auto &rs : rules_) {
+            const FaultRule &r = rs.rule;
+            if (r.site != site || r.kind == FaultKind::kNone)
+                continue;
+            if (rs.fired >= r.maxFires || hit < r.firstHit)
+                continue;
+            if (r.period == 0 ? hit != r.firstHit
+                              : (hit - r.firstHit) % r.period != 0)
+                continue;
+            if (r.probability < 1.0) {
+                uint64_t threshold = r.probability <= 0.0
+                    ? 0
+                    : static_cast<uint64_t>(std::ldexp(r.probability, 64));
+                if (threshold == 0 || rng_.next() >= threshold)
+                    continue;
+            }
+            ++rs.fired;
+            ++fires_[idx];
+            ++totalFires_;
+            if (recordTrace_)
+                trace_.push_back(FaultEvent{site, r.kind, hit});
+            if (r.kind == FaultKind::kCapacitySqueeze) {
+                squeezeRead_ = r.squeezeReadLines;
+                squeezeWrite_ = r.squeezeWriteLines;
+                squeezeUntil_ = r.squeezeTxns == 0
+                    ? ~uint64_t(0)
+                    : hits(FaultSite::kHtmBegin) + r.squeezeTxns;
+                continue;
+            }
+            if (r.kind == FaultKind::kDelay && delay_spins != nullptr)
+                *delay_spins = r.delaySpins;
+            return r.kind;
+        }
+        return FaultKind::kNone;
+    }
+
+    bool
+    squeezeActive() const
+    {
+        return squeezeUntil_ != 0 &&
+               hits(FaultSite::kHtmBegin) < squeezeUntil_;
+    }
+
+    size_t
+    readCapLimit(size_t base) const
+    {
+        return squeezeActive() && squeezeRead_ < base ? squeezeRead_
+                                                      : base;
+    }
+
+    size_t
+    writeCapLimit(size_t base) const
+    {
+        return squeezeActive() && squeezeWrite_ < base ? squeezeWrite_
+                                                       : base;
+    }
+
+    uint64_t hits(FaultSite s) const { return hits_[unsigned(s)]; }
+    uint64_t fires(FaultSite s) const { return fires_[unsigned(s)]; }
+    uint64_t totalFires() const { return totalFires_; }
+    const std::vector<FaultEvent> &trace() const { return trace_; }
+
+  private:
+    struct RuleState
+    {
+        FaultRule rule;
+        uint64_t fired;
+    };
+
+    Rng rng_;
+    bool recordTrace_;
+    std::vector<RuleState> rules_;
+    std::array<uint64_t, kNumFaultSites> hits_{};
+    std::array<uint64_t, kNumFaultSites> fires_{};
+    uint64_t totalFires_ = 0;
+    uint64_t squeezeUntil_ = 0;
+    size_t squeezeRead_ = 0;
+    size_t squeezeWrite_ = 0;
+    std::vector<FaultEvent> trace_;
+};
+
+/** A random rule over a handful of sites, mixing every rule knob. */
+FaultRule
+randomRule(Rng &rng)
+{
+    static const FaultSite kSites[] = {
+        FaultSite::kHtmBegin, FaultSite::kTxRead, FaultSite::kTxWrite,
+        FaultSite::kPreCommit, FaultSite::kPublishWindow};
+    static const FaultKind kKinds[] = {
+        FaultKind::kNone, FaultKind::kAbortConflict,
+        FaultKind::kAbortCapacity, FaultKind::kAbortOther,
+        FaultKind::kAbortExplicit, FaultKind::kDelay, FaultKind::kYield,
+        FaultKind::kCapacitySqueeze};
+    static const double kProbs[] = {0.0, 5e-4, 0.3, 1.0};
+    FaultRule r;
+    r.site = kSites[rng.nextBounded(5)];
+    r.kind = kKinds[rng.nextBounded(8)];
+    r.firstHit = rng.nextRange(1, 20);
+    switch (rng.nextBounded(3)) {
+      case 0: r.period = 0; break;
+      case 1: r.period = 1; break;
+      default: r.period = rng.nextRange(2, 7); break;
+    }
+    if (rng.nextPercent(30))
+        r.maxFires = rng.nextRange(1, 5);
+    r.probability = kProbs[rng.nextBounded(4)];
+    r.delaySpins = static_cast<uint32_t>(rng.nextRange(1, 1000));
+    r.squeezeReadLines = rng.nextRange(1, 64);
+    r.squeezeWriteLines = rng.nextRange(1, 64);
+    r.squeezeTxns = rng.nextBounded(4);
+    r.tid = static_cast<int>(rng.nextBounded(3)) - 1; // -1, 0 or 1.
+    return r;
+}
+
+TEST(FaultInjectorTest, CompiledPlanMatchesReferenceOnRandomPlans)
+{
+    Rng rng(2024);
+    constexpr unsigned kPlans = 50;
+    constexpr unsigned kHitsPerPlan = 2000; // 100k hits in total.
+    uint64_t fired = 0;
+    for (unsigned p = 0; p < kPlans; ++p) {
+        FaultPlan plan;
+        plan.seed = rng.next();
+        plan.recordTrace = true;
+        const unsigned nrules = static_cast<unsigned>(rng.nextRange(1, 8));
+        for (unsigned i = 0; i < nrules; ++i)
+            plan.add(randomRule(rng));
+        const unsigned tid = static_cast<unsigned>(rng.nextBounded(2));
+        FaultInjector inj(plan, tid);
+        ReferenceInjector ref(plan, tid);
+        for (unsigned h = 0; h < kHitsPerPlan; ++h) {
+            const auto site =
+                static_cast<FaultSite>(rng.nextBounded(5));
+            uint32_t gotSpins = 0, wantSpins = 0;
+            const FaultKind got = inj.fire(site, &gotSpins);
+            const FaultKind want = ref.fire(site, &wantSpins);
+            ASSERT_EQ(got, want) << "plan " << p << " hit " << h;
+            ASSERT_EQ(gotSpins, wantSpins) << "plan " << p << " hit " << h;
+            ASSERT_EQ(inj.squeezeActive(), ref.squeezeActive());
+            ASSERT_EQ(inj.readCapLimit(100), ref.readCapLimit(100));
+            ASSERT_EQ(inj.writeCapLimit(100), ref.writeCapLimit(100));
+        }
+        for (unsigned s = 0; s < kNumFaultSites; ++s) {
+            const auto site = static_cast<FaultSite>(s);
+            EXPECT_EQ(inj.hits(site), ref.hits(site));
+            EXPECT_EQ(inj.fires(site), ref.fires(site));
+        }
+        EXPECT_EQ(inj.totalFires(), ref.totalFires());
+        ASSERT_EQ(inj.trace().size(), ref.trace().size());
+        for (size_t i = 0; i < ref.trace().size(); ++i) {
+            EXPECT_EQ(inj.trace()[i].site, ref.trace()[i].site);
+            EXPECT_EQ(inj.trace()[i].kind, ref.trace()[i].kind);
+            EXPECT_EQ(inj.trace()[i].hit, ref.trace()[i].hit);
+        }
+        fired += ref.totalFires();
+    }
+    EXPECT_GT(fired, 0u);
+}
+
+TEST(FaultInjectorTest, BenchCalibrationScheduleIsPinned)
+{
+    // The plan HtmTxn builds for randomAbortProb = 5e-4 (the bench
+    // calibration) on tid 0 with seed 1, driven by a fixed cycle of
+    // 8 reads, 2 writes and 1 pre-commit. The firing call indices
+    // are pinned: any change to which hits draw from the RNG, or in
+    // what order, moves them.
+    FaultPlan plan;
+    plan.seed = 1;
+    for (FaultSite site : {FaultSite::kTxRead, FaultSite::kTxWrite,
+                           FaultSite::kPreCommit}) {
+        FaultRule rule;
+        rule.site = site;
+        rule.kind = FaultKind::kAbortOther;
+        rule.period = 1;
+        rule.probability = 5e-4;
+        plan.add(rule);
+    }
+    FaultInjector inj(plan, 0);
+    std::vector<uint64_t> firings;
+    for (uint64_t call = 1; firings.size() < 16 && call <= 1000000;
+         ++call) {
+        const uint64_t slot = call % 11;
+        const FaultSite site = slot < 8 ? FaultSite::kTxRead
+            : slot < 10                 ? FaultSite::kTxWrite
+                                        : FaultSite::kPreCommit;
+        if (inj.fire(site) != FaultKind::kNone)
+            firings.push_back(call);
+    }
+    const std::vector<uint64_t> expected = {
+        2029, 2548, 5105, 6384, 11334, 11606, 17957, 28212,
+        31718, 32851, 33554, 36696, 40248, 40388, 40613, 41917};
+    EXPECT_EQ(firings, expected) << ::testing::PrintToString(firings);
 }
 
 TEST(FaultSchedulesTest, AllNamedSchedulesBuild)

@@ -71,6 +71,20 @@ TEST_F(HtmFixture, ReadYourOwnWrite)
     EXPECT_EQ(eng.directLoad(&x), 8u);
 }
 
+TEST_F(HtmFixture, ReadThenWriteThenReadBack)
+{
+    // The first read runs while nothing is buffered (no write-buffer
+    // probe); the read-back must still come from the buffer.
+    x = 5;
+    txa.begin();
+    EXPECT_EQ(txa.read(&x), 5u);
+    txa.write(&x, 6);
+    EXPECT_EQ(txa.read(&x), 6u);
+    EXPECT_EQ(eng.directLoad(&x), 5u) << "buffered write leaked";
+    txa.commit();
+    EXPECT_EQ(eng.directLoad(&x), 6u);
+}
+
 TEST_F(HtmFixture, DirectStoreAbortsReader)
 {
     txa.begin();
@@ -363,6 +377,58 @@ TEST(HtmInjectionTest, ProbabilityZeroNeverAborts)
         tx.commit();
     }
     EXPECT_EQ(eng.directLoad(&w), 999u);
+}
+
+TEST(HtmInjectionTest, CalibratedAbortScheduleIsPinned)
+{
+    // The bench calibration's interrupt-abort rate (5e-4 per access)
+    // with the default seed, driven through a fixed script: each
+    // transaction reads 6 words, writes 2, reads one of them back and
+    // commits. The access indices (reads, writes and commits counted
+    // in order, aborted attempts included) of the first injected
+    // aborts are pinned, so any change to which accesses roll the
+    // dice moves them. Every access draws exactly once, so these are
+    // also FaultInjectorTest.BenchCalibrationScheduleIsPinned's
+    // first firing calls.
+    HtmConfig cfg;
+    cfg.randomAbortProb = 5e-4;
+    HtmEngine eng(cfg);
+    ThreadStats stats;
+    HtmTxn tx(eng, 0, &stats);
+    struct alignas(64) Line
+    {
+        uint64_t word = 0;
+    };
+    static Line lines[16];
+
+    std::vector<uint64_t> aborts;
+    uint64_t access = 0;
+    for (uint64_t txn = 0; aborts.size() < 12 && txn < 100000; ++txn) {
+        tx.begin();
+        try {
+            uint64_t sum = 0;
+            for (uint64_t i = 0; i < 6; ++i) {
+                ++access;
+                sum += tx.read(&lines[(txn + i) % 16].word);
+            }
+            for (uint64_t i = 0; i < 2; ++i) {
+                ++access;
+                tx.write(&lines[(txn * 3 + i) % 16].word, sum + i);
+            }
+            ++access;
+            EXPECT_EQ(tx.read(&lines[(txn * 3) % 16].word), sum);
+            ++access;
+            tx.commit();
+        } catch (const HtmAbort &a) {
+            EXPECT_EQ(a.cause, HtmAbortCause::kOther);
+            aborts.push_back(access);
+        }
+    }
+    const std::vector<uint64_t> expected = {
+        2029, 2548, 5105, 6384, 11334, 11606,
+        17957, 28212, 31718, 32851, 33554, 36696};
+    EXPECT_EQ(aborts, expected) << ::testing::PrintToString(aborts);
+    EXPECT_EQ(stats.get(Counter::kHtmInjectedAborts), aborts.size());
 }
 
 } // namespace

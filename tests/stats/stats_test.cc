@@ -17,7 +17,7 @@ TEST(StatsTest, CountersStartAtZero)
 {
     ThreadStats ts;
     for (unsigned i = 0; i < kNumCounters; ++i)
-        EXPECT_EQ(ts.counts[i], 0u);
+        EXPECT_EQ(ts.get(static_cast<Counter>(i)), 0u);
 }
 
 TEST(StatsTest, IncAndGet)

@@ -3,8 +3,9 @@
 # suite, the interleaving-explorer `check` leg (docs/CHECKING.md), the
 # crash-recovery sweep with its reverted-fix regression and an ASan
 # replay leg (docs/PERSISTENCE.md), and a single ThreadSanitizer chaos
-# leg as a concurrency smoke check (the full sanitizer soak matrix
-# lives in tools/run_chaos.sh).
+# leg as a concurrency smoke check plus a live stats() poll under the
+# sanitizer (the full sanitizer soak matrix lives in
+# tools/run_chaos.sh).
 #
 # Usage: tools/ci.sh [--skip-tsan]
 set -euo pipefail
@@ -148,7 +149,7 @@ build-asan/bench/bench_crash --threads=1,2 --algos=all --ops=80 \
 if [ "$SKIP_TSAN" -eq 0 ]; then
     echo "== TSan chaos leg: stall-serial seed=1 =="
     cmake -B build-tsan -S . -DRHTM_SANITIZE=thread >/dev/null
-    cmake --build build-tsan -j "$(nproc)" --target bench_chaos
+    cmake --build build-tsan -j "$(nproc)" --target bench_chaos api_tests
     build-tsan/bench/bench_chaos \
         --schedule=stall-serial --seed=1 --seconds=2 --threads=1,4 \
         --algos=rh-norec,hy-norec-lazy --irrevocable-pct=20 --stats
@@ -159,6 +160,10 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     build-tsan/bench/bench_chaos \
         --schedule=stall-publisher --seed=1 --seconds=2 --threads=1,4 \
         --algos=norec-lazy,hy-norec-lazy --stats
+    echo "== TSan stats leg: polling stats() during a run =="
+    # ThreadStats slots are single-writer relaxed atomics, so a live
+    # poll is race-free. Any sanitizer report exits nonzero (66).
+    build-tsan/tests/api_tests --gtest_filter='StatsPollTest.*'
 fi
 
 echo "ci gate passed"
