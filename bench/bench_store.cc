@@ -268,6 +268,7 @@ runOltpCell(AlgoKind algo, unsigned shards, unsigned threads,
     StatsSummary totals = store.stats();
     std::vector<Cell> cells;
     uint64_t allIssued = 0, allCommitted = 0;
+    LatencyHistogram allLat;
     for (unsigned cls = 0; cls < kNumOpClasses; ++cls) {
         LatencyHistogram merged;
         uint64_t issued = 0, committed = 0;
@@ -276,6 +277,7 @@ runOltpCell(AlgoKind algo, unsigned shards, unsigned threads,
             issued += pt.issued[cls];
             committed += pt.committed[cls];
         }
+        allLat.merge(merged);
         allIssued += issued;
         allCommitted += committed;
         Cell c;
@@ -300,6 +302,9 @@ runOltpCell(AlgoKind algo, unsigned shards, unsigned threads,
     all.threads = threads;
     all.ops = allIssued;
     all.committed = allCommitted;
+    all.p50Us = usOf(allLat.percentileNs(50));
+    all.p99Us = usOf(allLat.percentileNs(99));
+    all.maxUs = usOf(allLat.maxNs());
     all.seconds = seconds;
     all.throughput =
         seconds > 0 ? static_cast<double>(allCommitted) / seconds : 0;

@@ -6,6 +6,27 @@
 namespace rhtm
 {
 
+namespace
+{
+
+/**
+ * A read that observed this txn's own earlier write (duplicate key in
+ * the RMW set) is not an external read; recording it would misorder
+ * against the record's flat reads-then-writes layout.
+ */
+bool
+alreadyWrote(const StoreOpRecord &rec, uint64_t key)
+{
+    for (const auto &[wk, wv] : rec.writes) {
+        (void)wv;
+        if (wk == key)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
 struct ShardedStore::Shard
 {
     explicit Shard(unsigned bucketsLog2) : values(bucketsLog2) {}
@@ -191,18 +212,6 @@ ShardedStore::multiRmw(StoreWorker &w,
             break;
         }
     }
-    // A read that observed this txn's own earlier write (duplicate key
-    // in the RMW set) is not an external read; recording it would
-    // misorder against the record's flat reads-then-writes layout.
-    auto alreadyWrote = [](const StoreOpRecord &rec, uint64_t key) {
-        for (const auto &[wk, wv] : rec.writes) {
-            (void)wv;
-            if (wk == key)
-                return true;
-        }
-        return false;
-    };
-
     if (single && !byShard.empty()) {
         unsigned s = byShard.front().first;
         StoreOpRecord rec;
@@ -210,15 +219,13 @@ ShardedStore::multiRmw(StoreWorker &w,
         return runNative(w, s, opts, rec, [&](Txn &tx) {
             for (const auto &[unused, key] : byShard) {
                 (void)unused;
-                uint64_t old = 0;
-                bool f = data_[s]->values.get(tx, key, old);
-                uint64_t next = (f ? old : 0) + delta;
-                bool inserted = data_[s]->values.put(tx, key, next);
-                if (inserted)
+                bool f = false;
+                uint64_t next = data_[s]->values.addTo(tx, key, delta, &f);
+                if (!f)
                     data_[s]->index.put(tx, static_cast<int64_t>(key),
                                         static_cast<int64_t>(key));
                 if (f && !alreadyWrote(rec, key))
-                    rec.reads.emplace_back(key, old);
+                    rec.reads.emplace_back(key, next - delta);
                 rec.writes.emplace_back(key, next);
             }
         });
@@ -308,22 +315,11 @@ ShardedStore::runCross(
                 for (const auto &[ks, key] : byShard) {
                     if (ks != s)
                         continue;
-                    uint64_t old = 0;
-                    bool f = data_[s]->values.get(tx, key, old);
-                    uint64_t next = (f ? old : 0) + delta;
-                    data_[s]->values.put(tx, key, next);
-                    // Skip own-write echoes (duplicate RMW keys), as
-                    // in the single-shard path.
-                    bool echoed = false;
-                    for (const auto &[wk, wv] : rec.writes) {
-                        (void)wv;
-                        if (wk == key) {
-                            echoed = true;
-                            break;
-                        }
-                    }
-                    if (f && !echoed)
-                        rec.reads.emplace_back(key, old);
+                    bool f = false;
+                    uint64_t next =
+                        data_[s]->values.addTo(tx, key, delta, &f);
+                    if (f && !alreadyWrote(rec, key))
+                        rec.reads.emplace_back(key, next - delta);
                     rec.writes.emplace_back(key, next);
                 }
             }

@@ -4,8 +4,9 @@ namespace rhtm
 {
 
 TxHashMap::TxHashMap(unsigned bucket_count_log2)
-    : mask_((size_t(1) << bucket_count_log2) - 1),
-      buckets_(new Node *[size_t(1) << bucket_count_log2]())
+    : bucketCount_(size_t(1) << bucket_count_log2),
+      shift_(64 - bucket_count_log2),
+      buckets_(new Node *[bucketCount_]())
 {}
 
 bool
@@ -90,7 +91,7 @@ TxHashMap::remove(Txn &tx, uint64_t key)
 }
 
 uint64_t
-TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta)
+TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta, bool *found)
 {
     Node **head = &buckets_[bucketOf(key)];
     Node *n = tx.loadPtr(head);
@@ -98,10 +99,14 @@ TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta)
         if (tx.load(&n->key) == key) {
             uint64_t v = tx.load(&n->value) + delta;
             tx.store(&n->value, v);
+            if (found != nullptr)
+                *found = true;
             return v;
         }
         n = tx.loadPtr(&n->next);
     }
+    if (found != nullptr)
+        *found = false;
     Node *fresh = tx.allocObject<Node>();
     tx.store(&fresh->key, key);
     tx.store(&fresh->value, delta);
@@ -114,7 +119,7 @@ uint64_t
 TxHashMap::sizeUnsync() const
 {
     uint64_t count = 0;
-    for (size_t b = 0; b <= mask_; ++b) {
+    for (size_t b = 0; b < bucketCount_; ++b) {
         for (Node *n = buckets_[b]; n != nullptr; n = n->next)
             ++count;
     }
@@ -124,7 +129,7 @@ TxHashMap::sizeUnsync() const
 void
 TxHashMap::clearUnsync(ThreadMem &mem)
 {
-    for (size_t b = 0; b <= mask_; ++b) {
+    for (size_t b = 0; b < bucketCount_; ++b) {
         Node *n = buckets_[b];
         buckets_[b] = nullptr;
         while (n != nullptr) {

@@ -60,9 +60,13 @@ class TxHashMap
 
     /**
      * Add @p delta to the value of @p key, inserting @p delta as the
-     * initial value when absent. Returns the new value.
+     * initial value when absent. Returns the new value; the old one is
+     * the result minus @p delta. One chain walk, so a read-modify-write
+     * costs half the reads of get() followed by put().
+     * @param found when non-null, set to whether @p key was present.
      */
-    uint64_t addTo(Txn &tx, uint64_t key, uint64_t delta);
+    uint64_t addTo(Txn &tx, uint64_t key, uint64_t delta,
+                   bool *found = nullptr);
 
     /** Entry count by traversal; quiescent use only. */
     uint64_t sizeUnsync() const;
@@ -75,7 +79,7 @@ class TxHashMap
     void
     forEachUnsync(Fn fn) const
     {
-        for (size_t b = 0; b <= mask_; ++b) {
+        for (size_t b = 0; b < bucketCount_; ++b) {
             for (Node *n = buckets_[b]; n != nullptr; n = n->next)
                 fn(n->key, n->value);
         }
@@ -89,15 +93,22 @@ class TxHashMap
         Node *next;
     };
 
+    /**
+     * Top bits of the Fibonacci product. Callers that partition keys
+     * by the low bits of a hash of the same key (ShardedStore::shardOf)
+     * would otherwise leave all but 1/S of every map's buckets empty.
+     */
     size_t
     bucketOf(uint64_t key) const
     {
-        key *= 0x9e3779b97f4a7c15ull;
-        key ^= key >> 32;
-        return key & mask_;
+        // A single bucket would need a shift by 64 (undefined).
+        if (bucketCount_ == 1)
+            return 0;
+        return (key * 0x9e3779b97f4a7c15ull) >> shift_;
     }
 
-    size_t mask_;
+    size_t bucketCount_;
+    unsigned shift_; //!< 64 - log2(bucketCount_).
     std::unique_ptr<Node *[]> buckets_;
 };
 

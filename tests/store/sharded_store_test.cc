@@ -127,6 +127,76 @@ TEST_P(StoreAlgoTest, CrossShardRmwSpansDomains)
     EXPECT_GE(store.stats().get(Counter::kCrossShardCommits), 1u);
 }
 
+/** Keeps the last committed operation's record. */
+class LastRecordObserver final : public StoreObserver
+{
+  public:
+    void onTxnBegin(unsigned) override {}
+    void onTxnCommit(const StoreOpRecord &rec) override { last = rec; }
+
+    StoreOpRecord last;
+};
+
+using KV = std::pair<uint64_t, uint64_t>;
+
+// A duplicate key reads its seeded value once (the second visit sees
+// the RMW's own write, which is no external read) and writes twice; a
+// never-seeded key starts from zero and records no read.
+TEST_P(StoreAlgoTest, NativeRmwRecordsDuplicateAndFreshKeys)
+{
+    ShardedStore store(configFor(GetParam(), 4));
+    StoreWorker &w = store.registerWorker();
+    const uint64_t seeded = store.keyForShard(1, 0);
+    const uint64_t fresh = store.keyForShard(1, 1);
+    ASSERT_LT(seeded, fresh);
+    ASSERT_EQ(store.put(w, seeded, kSeedValue), TxnOutcome::kCommitted);
+
+    LastRecordObserver observer;
+    store.setObserver(&observer);
+    ASSERT_EQ(store.multiRmw(w, {fresh, seeded, seeded}, 7),
+              TxnOutcome::kCommitted);
+    store.setObserver(nullptr);
+
+    EXPECT_EQ(observer.last.reads, (std::vector<KV>{{seeded, kSeedValue}}));
+    EXPECT_EQ(observer.last.writes,
+              (std::vector<KV>{{seeded, kSeedValue + 7},
+                               {seeded, kSeedValue + 14},
+                               {fresh, 7}}));
+    // A key the RMW created joins the shard's scan index.
+    std::vector<KV> out;
+    ASSERT_EQ(store.scan(w, 1, fresh, fresh, 0, out),
+              TxnOutcome::kCommitted);
+    EXPECT_EQ(out, (std::vector<KV>{{fresh, 7}}));
+}
+
+TEST_P(StoreAlgoTest, CrossShardRmwRecordsDuplicateAndFreshKeys)
+{
+    ShardedStore store(configFor(GetParam(), 4));
+    StoreWorker &w = store.registerWorker();
+    const uint64_t seeded = store.keyForShard(0, 0);
+    const uint64_t fresh = store.keyForShard(2, 1);
+    ASSERT_EQ(store.put(w, seeded, kSeedValue), TxnOutcome::kCommitted);
+
+    LastRecordObserver observer;
+    store.setObserver(&observer);
+    ASSERT_EQ(store.multiRmw(w, {seeded, fresh, seeded}, 5),
+              TxnOutcome::kCommitted);
+    store.setObserver(nullptr);
+    EXPECT_EQ(store.stats().get(Counter::kCrossShardCommits), 1u);
+
+    // Shards commit in domain order (shard 0 first), keys in order.
+    EXPECT_EQ(observer.last.reads, (std::vector<KV>{{seeded, kSeedValue}}));
+    EXPECT_EQ(observer.last.writes,
+              (std::vector<KV>{{seeded, kSeedValue + 5},
+                               {seeded, kSeedValue + 10},
+                               {fresh, 5}}));
+    uint64_t v = 0;
+    bool found = false;
+    ASSERT_EQ(store.get(w, fresh, v, found), TxnOutcome::kCommitted);
+    EXPECT_TRUE(found);
+    EXPECT_EQ(v, 5u);
+}
+
 TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
 {
     const unsigned kThreads = 3;
@@ -304,6 +374,56 @@ TEST(ShardedStoreTest, HashPartitionCoversAllShards)
     for (unsigned s = 0; s < store.shardCount(); ++s)
         EXPECT_EQ(store.shardOf(store.keyForShard(s, 9)), s);
 }
+
+class StoreBucketSpreadTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+// Shard placement takes the low bits of the key hash; if a shard's hash
+// map drew its bucket from the same bits, each shard would fill only
+// 1/S of its buckets and chains would be S times longer. At per-shard
+// load factor 2 a get at chain position i costs 2i + 1 fast-path reads
+// (head, i keys, i - 1 next pointers, the value), about 3 + lf = 5 on
+// average; 3 + 2 * lf = 7 bounds it with room for hashing noise.
+TEST_P(StoreBucketSpreadTest, GetReadsStayNearLoadFactorTwo)
+{
+    const unsigned shards = GetParam();
+    const unsigned bucketsLog2 = 12;
+    const double loadFactor = 2.0;
+    const uint64_t keys =
+        static_cast<uint64_t>(loadFactor * shards) << bucketsLog2;
+
+    StoreConfig cfg;
+    cfg.shards = shards;
+    cfg.hashBucketsLog2 = bucketsLog2;
+    ShardedStore store(cfg);
+    StoreWorker &w = store.registerWorker();
+    store.seed(w, keys, kSeedValue);
+    store.resetStats();
+
+    for (uint64_t key = 0; key < keys; ++key) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(w, key, v, found), TxnOutcome::kCommitted);
+        ASSERT_TRUE(found) << "key " << key;
+    }
+    StatsSummary st = store.stats();
+    // Every get must commit on the fast path, or the fast-path read
+    // count would under-report the chain walks.
+    ASSERT_EQ(st.get(Counter::kCommitsFastPath), keys);
+    double readsPerGet =
+        static_cast<double>(st.get(Counter::kFastPathReads)) /
+        static_cast<double>(keys);
+    RecordProperty("reads_per_get", std::to_string(readsPerGet));
+    EXPECT_LT(readsPerGet, 3.0 + 2.0 * loadFactor)
+        << shards << " shards: buckets correlate with shardOf";
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, StoreBucketSpreadTest,
+                         ::testing::Values(1u, 2u, 4u, 8u),
+                         [](const ::testing::TestParamInfo<unsigned> &info) {
+                             return "s" + std::to_string(info.param);
+                         });
 
 TEST(ShardedStoreTest, DeadlineZeroBudgetIsRejected)
 {

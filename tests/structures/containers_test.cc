@@ -68,6 +68,57 @@ TEST(HashMapTest, AddToAccumulates)
     map.clearUnsync(ctx.mem());
 }
 
+TEST(HashMapTest, AddToReportsPresence)
+{
+    TmRuntime rt(AlgoKind::kRhNOrec);
+    TxHashMap map(8);
+    ThreadCtx &ctx = rt.registerThread();
+    rt.run(ctx, [&](Txn &tx) {
+        bool found = true;
+        EXPECT_EQ(map.addTo(tx, 4, 9, &found), 9u);
+        EXPECT_FALSE(found) << "absent key is inserted";
+        EXPECT_EQ(map.addTo(tx, 4, 2, &found), 11u);
+        EXPECT_TRUE(found);
+        // Wraps like get() + put() of old + delta would.
+        EXPECT_EQ(map.addTo(tx, 4, ~uint64_t(0), &found), 10u);
+        EXPECT_TRUE(found);
+        EXPECT_EQ(map.addTo(tx, 5, 1), 1u) << "found is optional";
+    });
+    uint64_t v = 0;
+    rt.run(ctx, [&](Txn &tx) { EXPECT_TRUE(map.get(tx, 4, v)); });
+    EXPECT_EQ(v, 10u);
+    EXPECT_EQ(map.sizeUnsync(), 2u);
+    map.clearUnsync(ctx.mem());
+}
+
+TEST(HashMapTest, SingleBucketMapHoldsEveryKey)
+{
+    // log2 == 0: one bucket, so bucketOf must not shift by 64.
+    TmRuntime rt(AlgoKind::kRhNOrec);
+    TxHashMap map(0);
+    ThreadCtx &ctx = rt.registerThread();
+    constexpr uint64_t kKeys = 40;
+    for (uint64_t key = 0; key < kKeys; ++key) {
+        rt.run(ctx, [&](Txn &tx) {
+            bool found = true;
+            EXPECT_EQ(map.addTo(tx, key * 0x1000193, key, &found), key);
+            EXPECT_FALSE(found);
+        });
+    }
+    rt.run(ctx, [&](Txn &tx) {
+        for (uint64_t key = 0; key < kKeys; ++key) {
+            uint64_t v = ~uint64_t(0);
+            EXPECT_TRUE(map.get(tx, key * 0x1000193, v));
+            EXPECT_EQ(v, key);
+        }
+        EXPECT_TRUE(map.remove(tx, 7 * 0x1000193));
+        EXPECT_FALSE(map.contains(tx, 7 * 0x1000193));
+    });
+    EXPECT_EQ(map.sizeUnsync(), kKeys - 1);
+    map.clearUnsync(ctx.mem());
+    EXPECT_EQ(map.sizeUnsync(), 0u);
+}
+
 TEST(HashMapTest, ChainsWithFewBuckets)
 {
     // 2 buckets force long chains: exercises chain insert/remove.
