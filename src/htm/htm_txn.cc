@@ -1,7 +1,9 @@
 #include "src/htm/htm_txn.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
 #include "src/util/sched_point.h"
 
@@ -22,23 +24,40 @@ htmAbortCauseName(HtmAbortCause cause)
     return "unknown";
 }
 
+namespace
+{
+
+/** @p lines as thread @p tid sees it under HT scaling. */
+size_t
+scaledCapacity(const HtmConfig &cfg, unsigned tid, size_t lines)
+{
+    if (tid >= cfg.scaledThreadsFrom && cfg.capacityScale > 1)
+        return lines / cfg.capacityScale;
+    return lines;
+}
+
+} // namespace
+
 HtmTxn::HtmTxn(HtmEngine &eng, unsigned tid, ThreadStats *stats,
                uint64_t rng_seed, FaultInjector *fault)
-    : eng_(eng), stats_(stats), fault_(fault), readCap_(0), writeCap_(0),
-      effReadCap_(0), effWriteCap_(0), active_(false), lastSeq_(0),
-      readLines_(14),   // 16 Ki slots >= 4096-line read capacity
-      writes_(14),      // 16 Ki word slots >= 448 lines * 8 words
-      writeLines_(12)
+    : eng_(eng), stats_(stats), fault_(fault),
+      readCap_(scaledCapacity(eng.config(), tid,
+                              eng.config().readCapacityLines)),
+      writeCap_(scaledCapacity(eng.config(), tid,
+                               eng.config().writeCapacityLines)),
+      effReadCap_(readCap_), effWriteCap_(writeCap_), active_(false),
+      lastSeq_(0),
+      // Each table grows on demand to at most the smallest size whose
+      // 3/4 load limit holds the capacity (8 Ki read-line slots, 1 Ki
+      // write-line slots and 8 Ki word slots at the default 4096/448
+      // lines), so it is never full while the transaction is within
+      // its capacity. A line holds 8 words; the min() keeps a huge
+      // capacity from wrapping.
+      readLines_(slotsLog2ForLoad(readCap_)),
+      writes_(slotsLog2ForLoad(std::min(writeCap_, SIZE_MAX / 8) * 8)),
+      writeLines_(slotsLog2ForLoad(writeCap_))
 {
     const HtmConfig &cfg = eng.config();
-    readCap_ = cfg.readCapacityLines;
-    writeCap_ = cfg.writeCapacityLines;
-    if (tid >= cfg.scaledThreadsFrom && cfg.capacityScale > 1) {
-        readCap_ /= cfg.capacityScale;
-        writeCap_ /= cfg.capacityScale;
-    }
-    effReadCap_ = readCap_;
-    effWriteCap_ = writeCap_;
     if (fault_ == nullptr && cfg.randomAbortProb > 0.0) {
         // Legacy knob: express the blunt per-access probability as a
         // fault plan on the access sites (same distribution the old
@@ -49,7 +68,8 @@ HtmTxn::HtmTxn(HtmEngine &eng, unsigned tid, ThreadStats *stats,
             tid);
         fault_ = ownedFault_.get();
     }
-    readLog_.reserve(1024);
+    // Grows to the largest read set, like readLines_.
+    readLog_.reserve(size_t(1) << kInitialSlotsLog2);
 }
 
 void

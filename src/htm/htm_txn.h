@@ -121,7 +121,10 @@ class HtmTxn
      * Restore the exact post-construction state: discard any live
      * transaction, undo capacity squeezes, and rewind the internal
      * injector (if this txn owns one; an external injector is reset by
-     * its owner). Test isolation only (docs/CHECKING.md).
+     * its owner). Test isolation only (docs/CHECKING.md). The tracking
+     * tables keep the size they grew to: no result depends on it
+     * (lookups, forEach's program order and the full-at-maximum point
+     * are the same at every size), only the memory footprint does.
      */
     void
     resetForTest()

@@ -1,12 +1,15 @@
 /**
  * @file
- * Unit tests for the fixed-capacity hash containers.
+ * Unit tests for the bounded, growing hash containers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
+#include <set>
+#include <utility>
+#include <vector>
 
 #include "src/htm/fixed_table.h"
 #include "src/util/rng.h"
@@ -89,6 +92,42 @@ TEST(FixedHashSetTest, RandomizedAgainstStdSet)
     EXPECT_EQ(set.size(), model.size());
 }
 
+TEST(FixedHashSetTest, GrowsToMaximumAgainstStdSet)
+{
+    // 2^6 initial slots doubling to 2^12: random keys with repeats
+    // cross every doubling; the set is full at 3072 keys, never before.
+    // A second round after clear() runs at the grown size.
+    constexpr unsigned kMaxLog2 = 12;
+    constexpr size_t kLimit = (size_t(1) << kMaxLog2) / 4 * 3;
+    static_assert(kMaxLog2 > kInitialSlotsLog2);
+    FixedHashSet set(kMaxLog2);
+    Rng rng(7);
+    for (int round = 0; round < 2; ++round) {
+        std::set<uint64_t> model;
+        for (;;) {
+            const uint64_t k = rng.nextBounded(6000);
+            const bool fresh = model.count(k) == 0;
+            bool inserted = false;
+            const bool ok = set.insert(k, inserted);
+            if (fresh && model.size() == kLimit) {
+                EXPECT_FALSE(ok);
+                EXPECT_FALSE(inserted);
+                break;
+            }
+            ASSERT_TRUE(ok) << "full at " << model.size() << " keys";
+            ASSERT_EQ(inserted, fresh);
+            model.insert(k);
+            ASSERT_EQ(set.size(), model.size());
+        }
+        for (uint64_t k = 0; k < 6000; ++k)
+            ASSERT_EQ(set.contains(k), model.count(k) == 1) << k;
+        set.clear();
+        EXPECT_EQ(set.size(), 0u);
+        for (uint64_t k : model)
+            ASSERT_FALSE(set.contains(k));
+    }
+}
+
 TEST(WriteBufferTest, PutLookupRoundTrip)
 {
     WriteBuffer buf(8);
@@ -159,6 +198,55 @@ TEST(WriteBufferTest, ReportsFullAtLoadLimit)
         ++accepted;
     }
     EXPECT_EQ(accepted, 12u);
+}
+
+TEST(WriteBufferTest, GrowsToMaximumAgainstStdMap)
+{
+    // As GrowsToMaximumAgainstStdSet: random words with overwrites
+    // cross every doubling up to 2^12 slots, the buffer is full at
+    // 3072 words, and forEach visits each word once, in the order it
+    // was first buffered, with its latest value.
+    constexpr unsigned kMaxLog2 = 12;
+    constexpr size_t kLimit = (size_t(1) << kMaxLog2) / 4 * 3;
+    WriteBuffer buf(kMaxLog2);
+    std::vector<uint64_t> pool(6000);
+    Rng rng(11);
+    for (int round = 0; round < 2; ++round) {
+        std::map<uint64_t *, uint64_t> model;
+        std::vector<uint64_t *> order;
+        for (;;) {
+            uint64_t *a = &pool[rng.nextBounded(pool.size())];
+            const uint64_t v = rng.next();
+            if (model.size() == kLimit) {
+                EXPECT_FALSE(buf.put(a, v));
+                break;
+            }
+            ASSERT_TRUE(buf.put(a, v)) << "full at " << model.size();
+            if (model.count(a) == 0)
+                order.push_back(a);
+            model[a] = v;
+            ASSERT_EQ(buf.sizeWords(), model.size());
+        }
+        for (uint64_t &w : pool) {
+            uint64_t out = 0;
+            auto it = model.find(&w);
+            ASSERT_EQ(buf.lookup(&w, out), it != model.end());
+            if (it != model.end()) {
+                ASSERT_EQ(out, it->second);
+            }
+        }
+        std::vector<std::pair<uint64_t *, uint64_t>> seen, expected;
+        buf.forEach([&](uint64_t *a, uint64_t v) { seen.emplace_back(a, v); });
+        for (uint64_t *a : order)
+            expected.emplace_back(a, model[a]);
+        EXPECT_EQ(seen, expected);
+        buf.clear();
+        EXPECT_TRUE(buf.empty());
+        for (auto &[a, v] : model) {
+            uint64_t out = 0;
+            ASSERT_FALSE(buf.lookup(a, out));
+        }
+    }
 }
 
 } // namespace

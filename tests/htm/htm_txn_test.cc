@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/htm/htm_txn.h"
+#include "src/util/rng.h"
 
 namespace rhtm
 {
@@ -342,6 +343,107 @@ TEST(HtmCapacityTest, HyperThreadScalingHalvesCapacity)
 
     EXPECT_EQ(lines_before_abort(0), 8u);
     EXPECT_EQ(lines_before_abort(4), 4u);
+}
+
+/** Lines filled before @p tx first aborts; -1 if it never does. */
+template <typename Access>
+long
+linesBeforeCapacityAbort(HtmTxn &tx, size_t lines, Access access)
+{
+    tx.begin();
+    for (size_t i = 0; i < lines; ++i) {
+        try {
+            access(i);
+        } catch (const HtmAbort &a) {
+            EXPECT_EQ(a.cause, HtmAbortCause::kCapacity);
+            return static_cast<long>(i);
+        }
+    }
+    tx.commit();
+    return -1;
+}
+
+struct alignas(64) CacheLine
+{
+    uint64_t word[8] = {};
+};
+
+TEST(HtmCapacityTest, LargeReadCapacityIsExact)
+{
+    // 16384 lines: more than a 2^14-slot table holds at 3/4 load
+    // (12288), the fixed read-table size this tracking once had.
+    HtmConfig cfg;
+    cfg.readCapacityLines = 16384;
+    HtmEngine eng(cfg);
+    HtmTxn tx(eng, 0, nullptr);
+    std::vector<CacheLine> arr(cfg.readCapacityLines + 1);
+    auto read = [&](size_t i) { tx.read(&arr[i].word[i % 8]); };
+
+    EXPECT_EQ(linesBeforeCapacityAbort(tx, cfg.readCapacityLines, read),
+              -1);
+    EXPECT_EQ(linesBeforeCapacityAbort(tx, arr.size(), read),
+              static_cast<long>(cfg.readCapacityLines));
+}
+
+TEST(HtmCapacityTest, LargeWriteCapacityIsExact)
+{
+    // 4096 lines, every word written: more than the once-fixed 2^12
+    // write-line slots (3072 at 3/4 load) and 2^14 word slots (12288)
+    // held.
+    HtmConfig cfg;
+    cfg.writeCapacityLines = 4096;
+    HtmEngine eng(cfg);
+    HtmTxn tx(eng, 0, nullptr);
+    std::vector<CacheLine> arr(cfg.writeCapacityLines + 1);
+    auto fill = [&](size_t i) {
+        for (uint64_t &w : arr[i].word)
+            tx.write(&w, i);
+    };
+
+    EXPECT_EQ(linesBeforeCapacityAbort(tx, cfg.writeCapacityLines, fill),
+              -1);
+    const size_t last = cfg.writeCapacityLines - 1;
+    EXPECT_EQ(eng.directLoad(&arr[last].word[7]), last);
+    EXPECT_EQ(linesBeforeCapacityAbort(tx, arr.size(), fill),
+              static_cast<long>(cfg.writeCapacityLines));
+}
+
+TEST(HtmCapacityTest, FirstCapacityAbortAtDefaultCapsIsPinned)
+{
+    // Default caps (4096 read lines, 448 write lines). Seeded random
+    // scripts over 8192 lines, one write in 4 (the write cap binds) or
+    // one in 64 (the read cap binds): the access index of each
+    // script's first capacity abort is pinned (captured with the
+    // tracking tables fixed at 2^14/2^14/2^12 slots), so table growth
+    // must never move where capacity fires.
+    HtmConfig cfg;
+    HtmEngine eng(cfg);
+    HtmTxn tx(eng, 0, nullptr);
+    std::vector<CacheLine> arr(8192);
+
+    std::vector<uint64_t> aborts;
+    for (uint64_t write_one_in : {4, 64}) {
+        for (uint64_t seed : {1, 2}) {
+            Rng rng(seed);
+            tx.begin();
+            for (uint64_t access = 1;; ++access) {
+                uint64_t *w = &arr[rng.nextBounded(arr.size())]
+                                   .word[rng.nextBounded(8)];
+                try {
+                    if (rng.nextBounded(write_one_in) == 0)
+                        tx.write(w, access);
+                    else
+                        tx.read(w);
+                } catch (const HtmAbort &a) {
+                    EXPECT_EQ(a.cause, HtmAbortCause::kCapacity);
+                    aborts.push_back(access);
+                    break;
+                }
+            }
+        }
+    }
+    const std::vector<uint64_t> expected = {1753, 1806, 5786, 5830};
+    EXPECT_EQ(aborts, expected) << ::testing::PrintToString(aborts);
 }
 
 TEST(HtmInjectionTest, ProbabilityOneAlwaysAborts)

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # One-stop CI gate: the include-layering lint, the tier-1 build + test
 # suite, the interleaving-explorer `check` leg (docs/CHECKING.md), the
-# crash-recovery sweep with its reverted-fix regression and an ASan
-# replay leg (docs/PERSISTENCE.md), and a single ThreadSanitizer chaos
-# leg as a concurrency smoke check plus a live stats() poll under the
-# sanitizer (the full sanitizer soak matrix lives in
-# tools/run_chaos.sh).
+# crash-recovery sweep with its reverted-fix regression, an ASan leg
+# over recovery replay (docs/PERSISTENCE.md) and the HTM tracking
+# tables, and a single ThreadSanitizer chaos leg as a concurrency
+# smoke check plus a live stats() poll under the sanitizer (the full
+# sanitizer soak matrix lives in tools/run_chaos.sh).
 #
 # Usage: tools/ci.sh [--skip-tsan]
 set -euo pipefail
@@ -139,10 +139,17 @@ if build/bench/bench_crash --threads=2 --algos=norec,rh-tl2 \
     exit 1
 fi
 
-echo "== crash-recovery: ASan leg over recovery replay =="
+echo "== ASan leg: recovery replay and the simulated-HTM tracking tables =="
+# The HTM tracking tables reallocate their slots as they grow, so a
+# slot reference held across a growth is a use-after-free ASan sees;
+# htm_tests and core_tests drive them directly and through every
+# AlgoKind.
 cmake -B build-asan -S . -DRHTM_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$(nproc)" --target bench_crash persist_tests
+cmake --build build-asan -j "$(nproc)" \
+    --target bench_crash persist_tests htm_tests core_tests
 build-asan/tests/persist_tests
+build-asan/tests/htm_tests
+build-asan/tests/core_tests
 build-asan/bench/bench_crash --threads=1,2 --algos=all --ops=80 \
     --crash-seed=5 --torn
 
