@@ -27,12 +27,9 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/util/barrier.h"
-#include "src/util/rng.h"
 #include "src/workloads/adversary.h"
 
 namespace rhtm
@@ -45,111 +42,40 @@ struct AdvConfig
 {
     uint64_t opsPerThread = 150;
     uint64_t deadlineMs = 5;
-    bool runOff = true;
-    bool runOn = true;
+    std::vector<bool> arms{false, true}; //!< Admission off, on.
     std::vector<Pathology> pathologies;
     std::string jsonPath;
 };
 
-/** One cell's outcome, CSV fields plus the JSON extras. */
+/** One cell's outcome plus the arm it ran. */
 struct AdvCell
 {
     bench::CellResult csv;
     Pathology pathology;
     bool admission = false;
-    uint64_t committed = 0;
-    uint64_t deadlineExceeded = 0;
-    uint64_t shed = 0;
-    uint64_t queuedTicks = 0;
 };
 
-AdvCell
-runAdversaryCell(Pathology pathology, AlgoKind algo, unsigned threads,
-                 bool admission, const bench::BenchConfig &cfg,
-                 const AdvConfig &ac)
+/**
+ * A factory for @p pathology. The protected arm makes every op
+ * sheddable and gives it a wall-clock deadline, so no single
+ * transaction can be dragged into an unbounded wait by the pathology.
+ */
+bench::WorkloadFactory
+adversaryFactory(Pathology pathology, bool admission,
+                 uint64_t deadlineMs)
 {
-    RuntimeConfig rt_cfg = cfg.runtime;
-    rt_cfg.rngSeed = cfg.seed;
-    rt_cfg.admission.enabled = admission;
-    TmRuntime rt(algo, rt_cfg);
-
-    AdversaryParams params;
-    params.pathology = pathology;
-    AdversaryWorkload workload(params);
-    if (admission) {
-        // The protected arm: every op is sheddable and carries a
-        // wall-clock deadline, so no single transaction can be dragged
-        // into an unbounded wait by the pathology.
-        TxnOptions opts;
-        opts.deadline = std::chrono::milliseconds(ac.deadlineMs);
-        opts.allowShed = true;
-        workload.setTxnOptions(opts);
-    }
-
-    {
-        ThreadCtx &setup_ctx = rt.registerThread();
-        workload.setup(rt, setup_ctx);
-    }
-    rt.resetStats(); // Exclude setup from the measured window.
-
-    std::vector<ThreadCtx *> ctxs(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        ctxs[t] = &rt.registerThread();
-
-    std::vector<LatencyHistogram> per_thread_lat(threads);
-    SenseBarrier barrier(threads + 1);
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&, t] {
-            Rng rng(cfg.seed * 1000003 + t * 7919 + 1);
-            LatencyHistogram &lat = per_thread_lat[t];
-            using LatClock = std::chrono::steady_clock;
-            barrier.arriveAndWait();
-            for (uint64_t op = 0; op < ac.opsPerThread; ++op) {
-                auto op_start = LatClock::now();
-                workload.runOp(rt, *ctxs[t], rng);
-                auto delta = LatClock::now() - op_start;
-                lat.record(static_cast<uint64_t>(
-                    std::chrono::duration_cast<
-                        std::chrono::nanoseconds>(delta)
-                        .count()));
-            }
-        });
-    }
-    barrier.arriveAndWait();
-    auto t0 = std::chrono::steady_clock::now();
-    for (auto &w : workers)
-        w.join();
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
-    AdvCell cell;
-    cell.pathology = pathology;
-    cell.admission = admission;
-    cell.csv.algo = algo;
-    cell.csv.threads = threads;
-    cell.csv.seconds = elapsed;
-    cell.csv.ops = ac.opsPerThread * threads; // Attempted, not committed.
-    for (const LatencyHistogram &h : per_thread_lat)
-        cell.csv.latency.merge(h);
-    cell.csv.stats = rt.stats();
-    cell.committed = cell.csv.stats.get(Counter::kOperations);
-    cell.deadlineExceeded =
-        cell.csv.stats.get(Counter::kDeadlineExceeded);
-    cell.shed = cell.csv.stats.get(Counter::kAdmissionShed);
-    cell.queuedTicks =
-        cell.csv.stats.get(Counter::kAdmissionQueuedTicks);
-    cell.csv.verified = true;
-    if (cfg.verify) {
-        std::string why;
-        cell.csv.verified = workload.verify(rt, &why);
-        if (!cell.csv.verified)
-            std::fprintf(stderr, "VERIFY FAILED: %s\n", why.c_str());
-    }
-    return cell;
+    return [=] {
+        AdversaryParams params;
+        params.pathology = pathology;
+        auto workload = std::make_unique<AdversaryWorkload>(params);
+        if (admission) {
+            TxnOptions opts;
+            opts.deadline = std::chrono::milliseconds(deadlineMs);
+            opts.allowShed = true;
+            workload->setTxnOptions(opts);
+        }
+        return workload;
+    };
 }
 
 void
@@ -171,6 +97,7 @@ writeJson(const std::string &path, const bench::BenchConfig &cfg,
     std::fprintf(f, "  \"cells\": [\n");
     for (size_t i = 0; i < cells.size(); ++i) {
         const AdvCell &c = cells[i];
+        const StatsSummary &st = c.csv.stats;
         std::fprintf(
             f,
             "    {\"pathology\": \"%s\", \"algo\": \"%s\", "
@@ -182,10 +109,13 @@ writeJson(const std::string &path, const bench::BenchConfig &cfg,
             pathologyName(c.pathology), algoKindName(c.csv.algo),
             c.csv.threads, c.admission ? "true" : "false",
             static_cast<unsigned long long>(c.csv.ops),
-            static_cast<unsigned long long>(c.committed),
-            static_cast<unsigned long long>(c.deadlineExceeded),
-            static_cast<unsigned long long>(c.shed),
-            static_cast<unsigned long long>(c.queuedTicks),
+            static_cast<unsigned long long>(st.get(Counter::kOperations)),
+            static_cast<unsigned long long>(
+                st.get(Counter::kDeadlineExceeded)),
+            static_cast<unsigned long long>(
+                st.get(Counter::kAdmissionShed)),
+            static_cast<unsigned long long>(
+                st.get(Counter::kAdmissionQueuedTicks)),
             c.csv.seconds, c.csv.latency.percentileNs(50) / 1000.0,
             c.csv.latency.percentileNs(99) / 1000.0,
             c.csv.latency.maxNs() / 1000.0,
@@ -229,9 +159,9 @@ main(int argc, char **argv)
     ac.jsonPath = opts.getString("json", "");
     std::string admission = opts.getString("admission", "both");
     if (admission == "off") {
-        ac.runOn = false;
+        ac.arms = {false};
     } else if (admission == "on") {
-        ac.runOff = false;
+        ac.arms = {true};
     } else if (admission != "both") {
         std::fprintf(stderr,
                      "--admission must be off, on, or both (got %s)\n",
@@ -258,14 +188,16 @@ main(int argc, char **argv)
     for (Pathology p : ac.pathologies) {
         for (AlgoKind algo : cfg.algos) {
             for (int64_t threads : cfg.threads) {
-                for (int arm = 0; arm < 2; ++arm) {
-                    bool admit_on = arm == 1;
-                    if ((admit_on && !ac.runOn) ||
-                        (!admit_on && !ac.runOff))
-                        continue;
-                    AdvCell cell = runAdversaryCell(
-                        p, algo, static_cast<unsigned>(threads),
-                        admit_on, cfg, ac);
+                for (bool admit_on : ac.arms) {
+                    bench::BenchConfig arm_cfg = cfg;
+                    arm_cfg.runtime.admission.enabled = admit_on;
+                    AdvCell cell{
+                        bench::runCell(
+                            adversaryFactory(p, admit_on, ac.deadlineMs),
+                            arm_cfg, algo,
+                            static_cast<unsigned>(threads),
+                            ac.opsPerThread),
+                        p, admit_on};
                     std::string name = std::string(pathologyName(p)) +
                                        (admit_on ? "-on" : "-off");
                     bench::printCsvRow(name, cell.csv);
@@ -281,9 +213,9 @@ main(int argc, char **argv)
     // Per-pathology headline at the highest measured concurrency: the
     // A/B the acceptance criterion asks for (median p99 across the
     // measured algorithms, plus the gate's accounting).
-    if (ac.runOff && ac.runOn && !cfg.threads.empty()) {
-        unsigned max_threads =
-            static_cast<unsigned>(cfg.threads.back());
+    if (ac.arms.size() == 2 && !cfg.threads.empty()) {
+        unsigned max_threads = static_cast<unsigned>(
+            *std::max_element(cfg.threads.begin(), cfg.threads.end()));
         unsigned bounded = 0;
         for (Pathology p : ac.pathologies) {
             double off = medianP99Us(cells, p, max_threads, false);
@@ -292,8 +224,8 @@ main(int argc, char **argv)
             for (const AdvCell &c : cells) {
                 if (c.pathology == p && c.admission &&
                     c.csv.threads == max_threads) {
-                    shed += c.shed;
-                    dl += c.deadlineExceeded;
+                    shed += c.csv.stats.get(Counter::kAdmissionShed);
+                    dl += c.csv.stats.get(Counter::kDeadlineExceeded);
                 }
             }
             bool demonstrated = on > 0 && off / on >= 2.0 &&

@@ -1,5 +1,6 @@
 #include "bench/harness.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -35,6 +36,19 @@ parseBenchConfig(const CliOptions &opts)
     BenchConfig cfg;
     cfg.threads = opts.getIntList("threads", cfg.threads);
     cfg.seconds = opts.getDouble("seconds", cfg.seconds);
+    for (int64_t t : cfg.threads) {
+        if (t < 1) {
+            std::fprintf(stderr,
+                         "--threads entries must be >= 1 (got %lld)\n",
+                         static_cast<long long>(t));
+            std::exit(2);
+        }
+    }
+    if (!(cfg.seconds > 0)) {
+        std::fprintf(stderr, "--seconds must be > 0 (got %g)\n",
+                     cfg.seconds);
+        std::exit(2);
+    }
     cfg.seed = static_cast<uint64_t>(opts.getInt("seed", 1));
     cfg.verify = !opts.has("no-verify");
     cfg.runtime.htm.scaledThreadsFrom = static_cast<unsigned>(
@@ -153,12 +167,9 @@ printCsvRow(const std::string &bench_name, const CellResult &cell)
     std::fflush(stdout);
 }
 
-namespace
-{
-
 CellResult
 runCell(const WorkloadFactory &make, const BenchConfig &cfg,
-        AlgoKind algo, unsigned threads)
+        AlgoKind algo, unsigned threads, uint64_t opsPerThread)
 {
     RuntimeConfig rt_cfg = cfg.runtime;
     rt_cfg.rngSeed = cfg.seed;
@@ -190,7 +201,8 @@ runCell(const WorkloadFactory &make, const BenchConfig &cfg,
             barrier.arriveAndWait();
             uint64_t ops = 0;
             using LatClock = std::chrono::steady_clock;
-            while (!stop.load(std::memory_order_relaxed)) {
+            while (opsPerThread ? ops < opsPerThread
+                                : !stop.load(std::memory_order_relaxed)) {
                 auto op_start = LatClock::now();
                 workload->runOp(rt, *ctxs[t], rng);
                 auto delta = LatClock::now() - op_start;
@@ -206,9 +218,11 @@ runCell(const WorkloadFactory &make, const BenchConfig &cfg,
 
     barrier.arriveAndWait();
     Timer timer;
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(cfg.seconds));
-    stop.store(true, std::memory_order_release);
+    if (opsPerThread == 0) {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(cfg.seconds));
+        stop.store(true, std::memory_order_release);
+    }
     for (auto &w : workers)
         w.join();
     double elapsed = timer.elapsedSeconds();
@@ -232,6 +246,9 @@ runCell(const WorkloadFactory &make, const BenchConfig &cfg,
     }
     return cell;
 }
+
+namespace
+{
 
 double
 throughputOf(const std::vector<CellResult> &cells, AlgoKind algo,
@@ -280,8 +297,8 @@ runBenchmark(const std::string &bench_name, const WorkloadFactory &make,
         have_hy |= (a == AlgoKind::kHybridNOrec);
     }
     if (have_rh && have_hy && !cfg.threads.empty()) {
-        unsigned max_threads =
-            static_cast<unsigned>(cfg.threads.back());
+        unsigned max_threads = static_cast<unsigned>(
+            *std::max_element(cfg.threads.begin(), cfg.threads.end()));
         double rh = throughputOf(cells, AlgoKind::kRhNOrec, max_threads);
         double hy =
             throughputOf(cells, AlgoKind::kHybridNOrec, max_threads);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Benchmark harness shared by every figure/table binary.
+ * Benchmark harness shared by every bench driver.
  *
- * Each binary reproduces one column of the paper's Figures 4-6: for
- * every (algorithm, thread count) cell it runs a timed window of the
- * workload and emits a CSV row with the throughput (figure row 1) and
- * the four analysis series (rows 2-5): HTM conflict/capacity aborts
- * per operation, slow-path restarts per slow-path, slow-path execution
- * ratio, and the RH prefix/postfix success ratios. A summary block
- * then prints the paper-style headline ratios (RH NOrec vs Hybrid
- * NOrec throughput and HTM-conflict reduction).
+ * bench_paper's figure table names one runBenchmark sweep per row of
+ * the paper's Figures 4-6 and the ablations: for every (algorithm,
+ * thread count) cell it runs a timed window of the workload and emits
+ * a CSV row with the throughput (figure row 1) and the four analysis
+ * series (rows 2-5): HTM conflict/capacity aborts per operation,
+ * slow-path restarts per slow-path, slow-path execution ratio, and the
+ * RH prefix/postfix success ratios. A summary line then prints the
+ * paper-style headline ratios (RH NOrec vs Hybrid NOrec throughput and
+ * HTM-conflict reduction) at the highest measured concurrency.
  */
 
 #ifndef RHTM_BENCH_HARNESS_H
@@ -37,7 +38,7 @@ struct BenchConfig
 {
     std::vector<int64_t> threads{1, 2, 4, 8};
     double seconds = 1.0;               //!< Timed window per cell.
-    std::vector<AlgoKind> algos;        //!< Default: all six.
+    std::vector<AlgoKind> algos;        //!< Default: allAlgoKinds().
     RuntimeConfig runtime;              //!< Base runtime config.
     bool verify = true;                 //!< Check invariants per cell.
     uint64_t seed = 1;
@@ -59,7 +60,8 @@ struct BenchConfig
  *                               0 disables the watchdog)
  *   --irrevocable-pct=N        (percent of ops upgraded to
  *                               irrevocability, workloads permitting)
- * Exits with a message on unknown algorithms or schedules. The caller
+ * Exits 2 with a message on unknown algorithms or schedules, a
+ * --threads entry below 1, or --seconds at or below 0. The caller
  * reads its own flags, then calls opts.exitOnErrors() to reject
  * unknown flags and unparsable values before running.
  */
@@ -84,6 +86,18 @@ struct CellResult
 
     bool verified;
 };
+
+/**
+ * Run one cell: set up a fresh workload on an @p algo runtime, drive
+ * it from @p threads workers (setup excluded from the stats), then
+ * verify it unless cfg.verify is off.
+ *
+ * @param opsPerThread Ops each worker runs; 0 runs the timed window
+ *        of cfg.seconds instead.
+ */
+CellResult runCell(const WorkloadFactory &make, const BenchConfig &cfg,
+                   AlgoKind algo, unsigned threads,
+                   uint64_t opsPerThread = 0);
 
 /**
  * Run the full sweep for one benchmark and print the CSV plus the
