@@ -31,8 +31,24 @@ struct ShardedStore::Shard
 {
     explicit Shard(unsigned bucketsLog2) : values(bucketsLog2) {}
 
+    /** Index @p key, whose value word in `values` is @p slot. */
+    void
+    indexKey(Txn &tx, uint64_t key, uint64_t *slot)
+    {
+        index.put(tx, static_cast<int64_t>(key),
+                  static_cast<int64_t>(reinterpret_cast<uintptr_t>(slot)));
+    }
+
+    /** The value word an index entry points at. */
+    static const uint64_t *
+    slotOf(int64_t entry)
+    {
+        return reinterpret_cast<const uint64_t *>(
+            static_cast<uintptr_t>(entry));
+    }
+
     TxHashMap values; //!< Authoritative key -> value table.
-    TxRbTree index;   //!< Ordered key index (native ops only).
+    TxRbTree index;   //!< Key -> value slot in `values` (native ops only).
 };
 
 ShardedStore::ShardedStore(StoreConfig cfg) : cfg_(std::move(cfg))
@@ -109,13 +125,18 @@ ShardedStore::seed(StoreWorker &w, uint64_t keyCount, uint64_t value)
         put(w, key, value);
 }
 
+template <typename Body>
 TxnOutcome
 ShardedStore::runNative(StoreWorker &w, unsigned shard,
-                        const StoreOpts &opts, StoreOpRecord &rec,
-                        const std::function<void(Txn &)> &body)
+                        const StoreOpts &opts, Body &&body)
 {
-    if (observer_ != nullptr)
+    StoreOpRecord rec;
+    StoreOpRecord *record = nullptr;
+    if (observer_ != nullptr) {
+        rec.worker = w.id();
+        record = &rec;
         observer_->onTxnBegin(w.id());
+    }
     TxnOptions topts;
     topts.deadline = opts.deadline;
     topts.allowShed = opts.allowShed;
@@ -123,9 +144,9 @@ ShardedStore::runNative(StoreWorker &w, unsigned shard,
         shards_[shard]->runWith(*w.ctxs_[shard], topts, [&](Txn &tx) {
             rec.reads.clear();
             rec.writes.clear();
-            body(tx);
+            body(tx, record);
         });
-    if (out == TxnOutcome::kCommitted && observer_ != nullptr)
+    if (out == TxnOutcome::kCommitted && record != nullptr)
         observer_->onTxnCommit(rec);
     return out;
 }
@@ -135,14 +156,12 @@ ShardedStore::get(StoreWorker &w, uint64_t key, uint64_t &valueOut,
                   bool &found, const StoreOpts &opts)
 {
     unsigned s = shardOf(key);
-    StoreOpRecord rec;
-    rec.worker = w.id();
     bool f = false;
     uint64_t v = 0;
-    TxnOutcome out = runNative(w, s, opts, rec, [&](Txn &tx) {
+    TxnOutcome out = runNative(w, s, opts, [&](Txn &tx, StoreOpRecord *rec) {
         f = data_[s]->values.get(tx, key, v);
-        if (f)
-            rec.reads.emplace_back(key, v);
+        if (f && rec != nullptr)
+            rec->reads.emplace_back(key, v);
     });
     if (out == TxnOutcome::kCommitted) {
         found = f;
@@ -156,14 +175,13 @@ ShardedStore::put(StoreWorker &w, uint64_t key, uint64_t value,
                   const StoreOpts &opts)
 {
     unsigned s = shardOf(key);
-    StoreOpRecord rec;
-    rec.worker = w.id();
-    return runNative(w, s, opts, rec, [&](Txn &tx) {
-        bool inserted = data_[s]->values.put(tx, key, value);
-        if (inserted)
-            data_[s]->index.put(tx, static_cast<int64_t>(key),
-                                static_cast<int64_t>(key));
-        rec.writes.emplace_back(key, value);
+    Shard &sh = *data_[s];
+    return runNative(w, s, opts, [&](Txn &tx, StoreOpRecord *rec) {
+        uint64_t *slot = nullptr;
+        if (sh.values.put(tx, key, value, &slot))
+            sh.indexKey(tx, key, slot);
+        if (rec != nullptr)
+            rec->writes.emplace_back(key, value);
     });
 }
 
@@ -173,23 +191,19 @@ ShardedStore::scan(StoreWorker &w, unsigned shard, uint64_t lo,
                    std::vector<std::pair<uint64_t, uint64_t>> &out,
                    const StoreOpts &opts)
 {
-    StoreOpRecord rec;
-    rec.worker = w.id();
-    return runNative(w, shard, opts, rec, [&](Txn &tx) {
+    Shard &sh = *data_[shard];
+    std::vector<std::pair<int64_t, int64_t>> &entries = w.scanEntries_;
+    return runNative(w, shard, opts, [&](Txn &tx, StoreOpRecord *rec) {
         out.clear();
-        std::vector<std::pair<int64_t, int64_t>> keys;
-        data_[shard]->index.scanRange(tx, static_cast<int64_t>(lo),
-                                      static_cast<int64_t>(hi), limit,
-                                      keys);
-        for (const auto &[key, unused] : keys) {
-            (void)unused;
-            uint64_t v = 0;
-            if (data_[shard]->values.get(
-                    tx, static_cast<uint64_t>(key), v)) {
-                out.emplace_back(static_cast<uint64_t>(key), v);
-                rec.reads.emplace_back(static_cast<uint64_t>(key), v);
-            }
-        }
+        entries.clear();
+        sh.index.scanRange(tx, static_cast<int64_t>(lo),
+                           static_cast<int64_t>(hi), limit, entries);
+        // One load per key: the entry points at the value word.
+        for (const auto &[key, slot] : entries)
+            out.emplace_back(static_cast<uint64_t>(key),
+                             tx.load(Shard::slotOf(slot)));
+        if (rec != nullptr)
+            rec->reads = out;
     });
 }
 
@@ -214,19 +228,21 @@ ShardedStore::multiRmw(StoreWorker &w,
     }
     if (single && !byShard.empty()) {
         unsigned s = byShard.front().first;
-        StoreOpRecord rec;
-        rec.worker = w.id();
-        return runNative(w, s, opts, rec, [&](Txn &tx) {
+        Shard &sh = *data_[s];
+        return runNative(w, s, opts, [&](Txn &tx, StoreOpRecord *rec) {
             for (const auto &[unused, key] : byShard) {
                 (void)unused;
                 bool f = false;
-                uint64_t next = data_[s]->values.addTo(tx, key, delta, &f);
+                uint64_t *slot = nullptr;
+                uint64_t next = sh.values.addTo(tx, key, delta, &f, &slot);
+                // A duplicate key finds the node its first visit made.
                 if (!f)
-                    data_[s]->index.put(tx, static_cast<int64_t>(key),
-                                        static_cast<int64_t>(key));
-                if (f && !alreadyWrote(rec, key))
-                    rec.reads.emplace_back(key, next - delta);
-                rec.writes.emplace_back(key, next);
+                    sh.indexKey(tx, key, slot);
+                if (rec == nullptr)
+                    continue;
+                if (f && !alreadyWrote(*rec, key))
+                    rec->reads.emplace_back(key, next - delta);
+                rec->writes.emplace_back(key, next);
             }
         });
     }
@@ -318,6 +334,8 @@ ShardedStore::runCross(
                     bool f = false;
                     uint64_t next =
                         data_[s]->values.addTo(tx, key, delta, &f);
+                    if (observer_ == nullptr)
+                        continue;
                     if (f && !alreadyWrote(rec, key))
                         rec.reads.emplace_back(key, next - delta);
                     rec.writes.emplace_back(key, next);

@@ -8,7 +8,18 @@
  * engine, its own memory manager -- holding a hash-partitioned slice of
  * the key space in two transactional structures: a TxHashMap (the
  * authoritative key -> value table, point reads/writes) and a TxRbTree
- * (an ordered key index backing range scans).
+ * (an ordered index backing range scans). The index maps each key to
+ * the address of its value word inside the hash map's node, so a scan
+ * loads each value with one read instead of a second chain walk. Two
+ * invariants keep every such address valid for the life of the store:
+ *
+ *  - ShardedStore never removes a key. Nothing here calls
+ *    TxHashMap::remove, so a committed map node is never freed or
+ *    moved until the store is destroyed.
+ *  - An index entry and its map node are created in the same native
+ *    transaction (put or single-shard multiRmw of a fresh key). An
+ *    aborted attempt rolls back the node's allocation and the entry
+ *    that points at it together.
  *
  * Single-shard operations (get / put / scan) run as ordinary native
  * transactions on the owning shard, with the full per-shard machinery
@@ -133,6 +144,8 @@ class StoreWorker
     unsigned id_;
     std::vector<ThreadCtx *> ctxs_; //!< One per shard.
     std::vector<std::unique_ptr<CrossShardPart>> parts_;
+    /** scan()'s index entries, reused across calls and attempts. */
+    std::vector<std::pair<int64_t, int64_t>> scanEntries_;
 };
 
 class ShardedStore
@@ -173,6 +186,10 @@ class ShardedStore
     /**
      * Range scan of @p shard's slice: every (key, value) with
      * lo <= key <= hi in ascending order, up to @p limit (0 = all).
+     *
+     * Known gap: a key first created by a cross-shard multiRmw lands
+     * in the hash map but not in the index (cross-shard bodies never
+     * touch the index), so scans miss it; get() still finds it.
      */
     TxnOutcome scan(StoreWorker &w, unsigned shard, uint64_t lo,
                     uint64_t hi, size_t limit,
@@ -217,9 +234,13 @@ class ShardedStore
   private:
     struct Shard;
 
+    /**
+     * Run @p body(tx, rec) as one native transaction on @p shard. @p rec
+     * is null without an observer, so unobserved ops record nothing.
+     */
+    template <typename Body>
     TxnOutcome runNative(StoreWorker &w, unsigned shard,
-                         const StoreOpts &opts, StoreOpRecord &rec,
-                         const std::function<void(Txn &)> &body);
+                         const StoreOpts &opts, Body &&body);
     TxnOutcome runCross(StoreWorker &w,
                         const std::vector<std::pair<unsigned,
                                                     uint64_t>> &byShard,

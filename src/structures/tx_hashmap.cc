@@ -31,13 +31,15 @@ TxHashMap::contains(Txn &tx, uint64_t key) const
 }
 
 bool
-TxHashMap::put(Txn &tx, uint64_t key, uint64_t value)
+TxHashMap::put(Txn &tx, uint64_t key, uint64_t value, uint64_t **slot)
 {
     Node **head = &buckets_[bucketOf(key)];
     Node *n = tx.loadPtr(head);
     while (n != nullptr) {
         if (tx.load(&n->key) == key) {
             tx.store(&n->value, value);
+            if (slot != nullptr)
+                *slot = &n->value;
             return false;
         }
         n = tx.loadPtr(&n->next);
@@ -47,6 +49,8 @@ TxHashMap::put(Txn &tx, uint64_t key, uint64_t value)
     tx.store(&fresh->value, value);
     tx.storePtr(&fresh->next, tx.loadPtr(head));
     tx.storePtr(head, fresh);
+    if (slot != nullptr)
+        *slot = &fresh->value;
     return true;
 }
 
@@ -91,7 +95,8 @@ TxHashMap::remove(Txn &tx, uint64_t key)
 }
 
 uint64_t
-TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta, bool *found)
+TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta, bool *found,
+                 uint64_t **slot)
 {
     Node **head = &buckets_[bucketOf(key)];
     Node *n = tx.loadPtr(head);
@@ -101,6 +106,8 @@ TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta, bool *found)
             tx.store(&n->value, v);
             if (found != nullptr)
                 *found = true;
+            if (slot != nullptr)
+                *slot = &n->value;
             return v;
         }
         n = tx.loadPtr(&n->next);
@@ -112,6 +119,8 @@ TxHashMap::addTo(Txn &tx, uint64_t key, uint64_t delta, bool *found)
     tx.store(&fresh->value, delta);
     tx.storePtr(&fresh->next, tx.loadPtr(head));
     tx.storePtr(head, fresh);
+    if (slot != nullptr)
+        *slot = &fresh->value;
     return delta;
 }
 

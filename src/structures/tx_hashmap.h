@@ -42,9 +42,14 @@ class TxHashMap
 
     /**
      * Insert or update @p key.
+     * @param slot when non-null, set to the address of the key's value
+     *        word. The word stays at that address until the key is
+     *        removed, so a caller may keep it and tx.load() it later
+     *        instead of walking the chain again.
      * @return true if the key was newly inserted.
      */
-    bool put(Txn &tx, uint64_t key, uint64_t value);
+    bool put(Txn &tx, uint64_t key, uint64_t value,
+             uint64_t **slot = nullptr);
 
     /**
      * Insert @p key only if absent.
@@ -64,9 +69,11 @@ class TxHashMap
      * the result minus @p delta. One chain walk, so a read-modify-write
      * costs half the reads of get() followed by put().
      * @param found when non-null, set to whether @p key was present.
+     * @param slot when non-null, set to the address of the key's value
+     *        word, as put() reports it.
      */
     uint64_t addTo(Txn &tx, uint64_t key, uint64_t delta,
-                   bool *found = nullptr);
+                   bool *found = nullptr, uint64_t **slot = nullptr);
 
     /** Entry count by traversal; quiescent use only. */
     uint64_t sizeUnsync() const;

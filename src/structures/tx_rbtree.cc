@@ -77,41 +77,64 @@ TxRbTree::contains(Txn &tx, int64_t key) const
     return getEntry(tx, key) != nullptr;
 }
 
-TxRbTree::Node *
-TxRbTree::ceilingEntry(Txn &tx, int64_t key) const
+size_t
+TxRbTree::scanRange(Txn &tx, int64_t lo, int64_t hi, size_t limit,
+                    std::vector<std::pair<int64_t, int64_t>> &out) const
 {
-    // TreeMap getCeilingEntry: the leftmost node with node.key >= key.
-    Node *p = tx.loadPtr(&root_);
-    Node *best = nullptr;
-    while (p != nullptr) {
+    // In-order walk with an explicit stack of the nodes still to emit,
+    // smallest on top. No parent link is read, and each key is read
+    // once: the ceiling descent keeps the keys it compared, and a node
+    // pushed unread (a left-spine node) has its key read when popped.
+    struct Pending
+    {
+        Node *node;
+        int64_t key;
+        bool keyKnown;
+    };
+    // A red-black tree of n nodes is at most 2 log2(n + 1) deep, so 128
+    // slots cover any tree that fits in memory. Only an inconsistent
+    // snapshot can be deeper; restart rather than overrun.
+    constexpr size_t kMaxDepth = 128;
+    Pending stack[kMaxDepth];
+    size_t depth = 0;
+    auto push = [&](Node *n, int64_t key, bool keyKnown) {
+        if (depth == kMaxDepth)
+            tx.retry();
+        stack[depth++] = Pending{n, key, keyKnown};
+    };
+
+    // Ceiling descent: a node where the walk turns left is >= lo, and
+    // it comes after everything below it on the left.
+    for (Node *p = tx.loadPtr(&root_); p != nullptr;) {
         int64_t k = static_cast<int64_t>(tx.load(&p->key));
-        if (key <= k) {
-            best = p; // Candidate; a smaller ceiling may sit left.
-            if (key == k)
+        if (lo <= k) {
+            push(p, k, true);
+            if (lo == k)
                 break;
             p = tx.loadPtr(&p->left);
         } else {
             p = tx.loadPtr(&p->right);
         }
     }
-    return best;
-}
 
-size_t
-TxRbTree::scanRange(Txn &tx, int64_t lo, int64_t hi, size_t limit,
-                    std::vector<std::pair<int64_t, int64_t>> &out) const
-{
     size_t appended = 0;
-    for (Node *p = ceilingEntry(tx, lo); p != nullptr;
-         p = successor(tx, p)) {
-        int64_t k = static_cast<int64_t>(tx.load(&p->key));
+    while (depth > 0) {
+        Pending top = stack[--depth];
+        int64_t k = top.keyKnown
+                        ? top.key
+                        : static_cast<int64_t>(tx.load(&top.node->key));
         if (k > hi)
             break;
         out.emplace_back(k,
-                         static_cast<int64_t>(tx.load(&p->value)));
+                         static_cast<int64_t>(tx.load(&top.node->value)));
         ++appended;
         if (limit != 0 && appended >= limit)
             break;
+        // The successor is the leftmost node of the right subtree, if
+        // any; otherwise it is already on the stack.
+        for (Node *p = tx.loadPtr(&top.node->right); p != nullptr;
+             p = tx.loadPtr(&p->left))
+            push(p, 0, false);
     }
     return appended;
 }

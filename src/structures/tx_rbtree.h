@@ -62,9 +62,11 @@ class TxRbTree
     /**
      * Append every (key, value) with lo <= key <= hi to @p out in
      * ascending key order, stopping after @p limit entries (0 = no
-     * limit). The in-order walk (ceiling search + successor chain)
-     * reads every traversed link transactionally, so the scan
-     * serializes with concurrent put/remove like any other operation.
+     * limit). The in-order walk (a ceiling descent, then a stack of
+     * pending left-spine nodes) reads every traversed link
+     * transactionally, so the scan serializes with concurrent
+     * put/remove like any other operation. It reads no parent link and
+     * no key twice.
      * @return number of entries appended.
      */
     size_t scanRange(Txn &tx, int64_t lo, int64_t hi, size_t limit,
@@ -108,7 +110,6 @@ class TxRbTree
     static void setColor(Txn &tx, Node *n, uint64_t color);
 
     Node *getEntry(Txn &tx, int64_t key) const;
-    Node *ceilingEntry(Txn &tx, int64_t key) const;
     Node *successor(Txn &tx, Node *t) const;
     void rotateLeft(Txn &tx, Node *p);
     void rotateRight(Txn &tx, Node *p);

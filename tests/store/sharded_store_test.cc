@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <set>
 #include <string>
@@ -195,6 +196,68 @@ TEST_P(StoreAlgoTest, CrossShardRmwRecordsDuplicateAndFreshKeys)
     ASSERT_EQ(store.get(w, fresh, v, found), TxnOutcome::kCommitted);
     EXPECT_TRUE(found);
     EXPECT_EQ(v, 5u);
+}
+
+// Every key a full per-shard scan returns carries the value get()
+// reads, after puts of new and existing keys, single-shard RMWs (one
+// creating a key) and cross-shard RMWs of existing keys. The scan
+// loads values through the index's slot pointers, so a stale or
+// misfiled slot shows up here as a wrong value or a missing key.
+TEST_P(StoreAlgoTest, ScanAgreesWithGetAfterWrites)
+{
+    ShardedStore store(configFor(GetParam(), 4));
+    StoreWorker &w = store.registerWorker();
+    std::map<uint64_t, uint64_t> model;
+    const uint64_t kSeeded = 256;
+    store.seed(w, kSeeded, kSeedValue);
+    for (uint64_t key = 0; key < kSeeded; ++key)
+        model[key] = kSeedValue;
+
+    Rng rng(99);
+    for (uint64_t i = 0; i < 64; ++i) {
+        uint64_t key = i % 2 == 0 ? kSeeded + i : rng.nextBounded(kSeeded);
+        ASSERT_EQ(store.put(w, key, 1000 + i), TxnOutcome::kCommitted);
+        model[key] = 1000 + i;
+    }
+    for (unsigned s = 0; s < store.shardCount(); ++s) {
+        // keyForShard salts of 1 and more address keys past the seed.
+        std::vector<uint64_t> keys{store.keyForShard(s, 0),
+                                   store.keyForShard(s, 1 + s),
+                                   store.keyForShard(s, 0)};
+        ASSERT_EQ(store.multiRmw(w, keys, 3), TxnOutcome::kCommitted);
+        for (uint64_t key : keys)
+            model[key] += 3;
+    }
+    for (unsigned i = 0; i < 16; ++i) {
+        std::vector<uint64_t> keys{rng.nextBounded(kSeeded),
+                                   rng.nextBounded(kSeeded),
+                                   rng.nextBounded(kSeeded)};
+        ASSERT_EQ(store.multiRmw(w, keys, 5), TxnOutcome::kCommitted);
+        for (uint64_t key : keys)
+            model[key] += 5;
+    }
+    EXPECT_GE(store.stats().get(Counter::kCrossShardCommits), 1u);
+
+    size_t scanned = 0;
+    for (unsigned s = 0; s < store.shardCount(); ++s) {
+        std::vector<KV> out;
+        ASSERT_EQ(store.scan(w, s, 0, INT64_MAX, 0, out),
+                  TxnOutcome::kCommitted);
+        std::vector<KV> want;
+        for (const auto &kv : model)
+            if (store.shardOf(kv.first) == s)
+                want.push_back(kv);
+        EXPECT_EQ(out, want) << "shard " << s;
+        for (const auto &[key, value] : out) {
+            uint64_t v = 0;
+            bool found = false;
+            ASSERT_EQ(store.get(w, key, v, found), TxnOutcome::kCommitted);
+            EXPECT_TRUE(found) << "key " << key;
+            EXPECT_EQ(v, value) << "key " << key;
+        }
+        scanned += out.size();
+    }
+    EXPECT_EQ(scanned, model.size());
 }
 
 TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
@@ -424,6 +487,68 @@ INSTANTIATE_TEST_SUITE_P(Shards, StoreBucketSpreadTest,
                          [](const ::testing::TestParamInfo<unsigned> &info) {
                              return "s" + std::to_string(info.param);
                          });
+
+// The single-threaded read footprint of each native op: rh-norec, 4
+// shards, 2^17 keys, default HTM (no injected aborts), so every op
+// commits on the fast path and the counts are deterministic. Gets and
+// puts (one in nine a fresh key, which also grows the index) are
+// pinned exactly. A 64-key scan (limit 32, as in perfbench's
+// store-oltp) cost 102542 reads over these 512 scans when it walked
+// each key's hash chain again and climbed parent links between index
+// nodes; it must stay at or below 0.6x that.
+TEST(ShardedStoreTest, NativeOpReadFootprintIsPinned)
+{
+    const uint64_t kKeys = uint64_t(1) << 17;
+    const uint64_t kOps = 512;
+    const uint64_t kParentScanReads = 102542;
+    StoreConfig cfg;
+    cfg.shards = 4;
+    ShardedStore store(cfg);
+    StoreWorker &w = store.registerWorker();
+    store.seed(w, kKeys, kSeedValue);
+
+    auto fastPathReads = [&](const char *op, auto body) -> uint64_t {
+        store.resetStats();
+        Rng rng(7);
+        uint64_t committed = 0;
+        for (uint64_t i = 0; i < kOps; ++i)
+            committed += body(rng, i) == TxnOutcome::kCommitted;
+        EXPECT_EQ(committed, kOps) << op;
+        StatsSummary st = store.stats();
+        EXPECT_EQ(st.get(Counter::kCommitsFastPath), kOps) << op;
+        EXPECT_EQ(st.get(Counter::kSlowPathReads), 0u) << op;
+        RecordProperty(std::string(op) + "_reads",
+                       std::to_string(st.get(Counter::kFastPathReads)));
+        return st.get(Counter::kFastPathReads);
+    };
+    uint64_t v = 0;
+    bool found = false;
+    EXPECT_EQ(fastPathReads("get",
+                            [&](Rng &rng, uint64_t) {
+                                return store.get(w, rng.nextBounded(kKeys),
+                                                 v, found);
+                            }),
+              2370u);
+    EXPECT_EQ(fastPathReads("put",
+                            [&](Rng &rng, uint64_t) {
+                                return store.put(
+                                    w, rng.nextBounded(kKeys + kKeys / 8),
+                                    kSeedValue);
+                            }),
+              7251u);
+    std::vector<KV> out;
+    uint64_t scanned = 0;
+    uint64_t scanReads = fastPathReads("scan", [&](Rng &rng, uint64_t i) {
+        uint64_t lo = rng.nextBounded(kKeys - 64);
+        TxnOutcome o = store.scan(w, static_cast<unsigned>(i % 4), lo,
+                                  lo + 63, 32, out);
+        scanned += out.size();
+        return o;
+    });
+    EXPECT_EQ(scanned, 8196u) << "the scans' key set moved";
+    EXPECT_LE(scanReads * 10, kParentScanReads * 6)
+        << scanReads << " reads over " << kOps << " scans";
+}
 
 TEST(ShardedStoreTest, DeadlineZeroBudgetIsRejected)
 {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/structures/tx_hashmap.h"
 #include "src/structures/tx_list.h"
@@ -88,6 +89,50 @@ TEST(HashMapTest, AddToReportsPresence)
     rt.run(ctx, [&](Txn &tx) { EXPECT_TRUE(map.get(tx, 4, v)); });
     EXPECT_EQ(v, 10u);
     EXPECT_EQ(map.sizeUnsync(), 2u);
+    map.clearUnsync(ctx.mem());
+}
+
+// The slot put() and addTo() report, on insert and on update, is the
+// word a later get() reads: it never moves while the key stays, even
+// as other keys are chained into the same bucket.
+TEST(HashMapTest, ReportedSlotIsTheWordGetReads)
+{
+    TmRuntime rt(AlgoKind::kRhNOrec);
+    TxHashMap map(1); // Two buckets: every key shares a chain.
+    ThreadCtx &ctx = rt.registerThread();
+    constexpr uint64_t kKeys = 12;
+    std::vector<uint64_t *> slots(kKeys, nullptr);
+    rt.run(ctx, [&](Txn &tx) {
+        for (uint64_t k = 0; k < kKeys; ++k) {
+            if (k % 2 == 0)
+                EXPECT_TRUE(map.put(tx, k, k + 100, &slots[k]));
+            else
+                EXPECT_EQ(map.addTo(tx, k, k + 100, nullptr, &slots[k]),
+                          k + 100);
+            ASSERT_NE(slots[k], nullptr);
+        }
+    });
+    rt.run(ctx, [&](Txn &tx) {
+        for (uint64_t k = 0; k < kKeys; ++k) {
+            uint64_t *slot = nullptr;
+            bool found = false;
+            if (k % 2 == 0) {
+                EXPECT_FALSE(map.put(tx, k, k + 200, &slot));
+            } else {
+                EXPECT_EQ(map.addTo(tx, k, 100, &found, &slot), k + 200);
+                EXPECT_TRUE(found);
+            }
+            EXPECT_EQ(slot, slots[k]) << "key " << k;
+        }
+    });
+    rt.run(ctx, [&](Txn &tx) {
+        for (uint64_t k = 0; k < kKeys; ++k) {
+            uint64_t v = 0;
+            ASSERT_TRUE(map.get(tx, k, v));
+            EXPECT_EQ(v, k + 200);
+            EXPECT_EQ(tx.load(slots[k]), v) << "key " << k;
+        }
+    });
     map.clearUnsync(ctx.mem());
 }
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/structures/tx_rbtree.h"
 
@@ -119,6 +121,89 @@ TEST_P(RbTreeAlgoTest, AscendingAndDescendingInsertions)
     EXPECT_EQ(tree.sizeUnsync(), 256u);
     EXPECT_TRUE(tree.validateStructure(&why)) << why;
     tree.clearUnsync(ctx.mem());
+}
+
+// scanRange against std::map: random trees (the first empty, later
+// ones thinned by removals so rebalanced shapes appear) queried over
+// random ranges and limits plus the edges an in-order walk can get
+// wrong: lo on a key, lo between keys, lo > hi, limits 0 and 1, and
+// ranges reaching the extreme keys.
+TEST_P(RbTreeAlgoTest, ScanRangeMatchesStdMap)
+{
+    ThreadCtx &ctx = rt.registerThread();
+    Rng rng(2024);
+    using Entry = std::pair<int64_t, int64_t>;
+    const size_t kNoLimit = 0;
+    for (unsigned round = 0; round < 6; ++round) {
+        TxRbTree t;
+        std::map<int64_t, int64_t> model;
+        const unsigned inserts = round * 60;
+        rt.run(ctx, [&](Txn &tx) {
+            for (unsigned i = 0; i < inserts; ++i) {
+                int64_t key = static_cast<int64_t>(rng.nextBounded(400));
+                t.put(tx, key, key * 3 + 1);
+                model[key] = key * 3 + 1;
+            }
+            if (round % 2 == 1) {
+                for (int64_t key : {INT64_MIN + 1, INT64_MAX - 1}) {
+                    t.put(tx, key, -key);
+                    model[key] = -key;
+                }
+            }
+        });
+        for (unsigned i = 0; i < inserts / 3; ++i) {
+            int64_t key = static_cast<int64_t>(rng.nextBounded(400));
+            rt.run(ctx, [&](Txn &tx) { t.remove(tx, key); });
+            model.erase(key);
+        }
+
+        auto check = [&](int64_t lo, int64_t hi, size_t limit) {
+            std::vector<Entry> want;
+            for (auto it = model.lower_bound(lo);
+                 it != model.end() && it->first <= hi &&
+                 (limit == 0 || want.size() < limit);
+                 ++it)
+                want.push_back(*it);
+            // scanRange appends: an entry already in out stays first.
+            const Entry sentinel{-7, -7};
+            std::vector<Entry> got;
+            size_t appended = 0;
+            rt.run(ctx, [&](Txn &tx) {
+                got.assign(1, sentinel);
+                appended = t.scanRange(tx, lo, hi, limit, got);
+            });
+            ASSERT_FALSE(got.empty());
+            EXPECT_EQ(got.front(), sentinel);
+            got.erase(got.begin());
+            EXPECT_EQ(appended, got.size());
+            EXPECT_EQ(got, want) << "round " << round << " [" << lo
+                                 << ", " << hi << "] limit " << limit;
+        };
+
+        for (size_t limit : {kNoLimit, size_t(1), size_t(5)}) {
+            check(INT64_MIN, INT64_MAX, limit);
+            check(INT64_MIN, INT64_MIN + 1, limit);
+            check(INT64_MAX - 1, INT64_MAX, limit);
+            check(10, 5, limit);
+            check(0, 0, limit);
+        }
+        for (const auto &[key, value] : model) {
+            (void)value;
+            if (key < 0 || key >= 400)
+                continue; // The extreme keys are covered above.
+            check(key, key, kNoLimit);    // lo on a key
+            check(key, key + 40, 1);
+            check(key + 1, key + 30, 3); // lo past a key
+            if (model.count(key + 1) == 0)
+                check(key + 1, key + 1, kNoLimit); // between keys
+        }
+        for (unsigned q = 0; q < 200; ++q) {
+            int64_t lo = static_cast<int64_t>(rng.nextBounded(420)) - 10;
+            int64_t hi = lo + static_cast<int64_t>(rng.nextBounded(120)) - 20;
+            check(lo, hi, static_cast<size_t>(rng.nextBounded(8)));
+        }
+        t.clearUnsync(ctx.mem());
+    }
 }
 
 TEST_P(RbTreeAlgoTest, ConcurrentMixedWorkloadKeepsInvariants)
