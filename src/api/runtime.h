@@ -446,10 +446,11 @@ class TmRuntime
      * memory journal -- to its just-registered state. The interleaving
      * explorer (src/check/) calls this between explored runs so each
      * run starts from identical state; callers must guarantee no
-     * transaction is in flight. The HtmEngine's stripe versions are
-     * deliberately NOT rewound: they are only ever compared for
-     * equality within one run, so their absolute values cannot affect
-     * control flow, and rewinding them would race with nothing anyway.
+     * transaction is in flight. The HtmEngine's sequence and stripe
+     * stamps are deliberately NOT rewound: a stamp is only ever
+     * compared by order against a transaction's snapshot of the same
+     * monotonic sequence, taken within one run, so their absolute
+     * values cannot affect control flow.
      */
     void resetForTest();
 

@@ -1,8 +1,11 @@
 #include "src/check/history.h"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <sstream>
+#include <string>
+#include <unordered_set>
 
 namespace rhtm::check
 {
@@ -150,6 +153,18 @@ class VarState
 
     void set(unsigned var, uint64_t value) { vals_[var] = value; }
 
+    /** Append a byte encoding that equal valuations share. */
+    void
+    appendKey(std::string &key) const
+    {
+        for (const auto &[var, value] : vals_) {
+            char buf[sizeof var + sizeof value];
+            std::memcpy(buf, &var, sizeof var);
+            std::memcpy(buf + sizeof var, &value, sizeof value);
+            key.append(buf, sizeof buf);
+        }
+    }
+
   private:
     const std::vector<uint64_t> &init_;
     std::map<unsigned, uint64_t> vals_;
@@ -193,6 +208,16 @@ applyAttempt(const Attempt &attempt, VarState &state)
  * via DFS with real-time-edge pruning. The visitor is called once per
  * complete valid order with the per-step var states; returning false
  * stops the enumeration early.
+ *
+ * Dead-end memo: what lies below a search node depends only on which
+ * transactions are placed and on the valuation they produced
+ * (realTimeReady reads the set, attemptReadsValid and applyAttempt the
+ * valuation). A node whose subtree held no complete order is recorded
+ * under that pair, and any later node with the same pair is skipped.
+ * The visitor never ran below such a node, so skipping it changes no
+ * visit and no verdict; it only stops the search from re-walking, once
+ * per interleaving of the transactions placed above it, a subtree that
+ * one wrongly early placement made unsatisfiable.
  */
 class SerializationSearch
 {
@@ -218,6 +243,7 @@ class SerializationSearch
         states_.clear();
         states_.emplace_back(init_);
         found_ = 0;
+        dead_.clear();
         return dfs(visit);
     }
 
@@ -233,6 +259,10 @@ class SerializationSearch
             ++found_;
             return visit(order_, states_);
         }
+        std::string key = nodeKey();
+        if (dead_.count(key) != 0)
+            return true;
+        const size_t foundBefore = found_;
         for (size_t i = 0; i < committed_.size(); ++i) {
             if (scheduled_[i])
                 continue;
@@ -252,7 +282,22 @@ class SerializationSearch
             order_.pop_back();
             scheduled_[i] = false;
         }
+        if (found_ == foundBefore)
+            dead_.insert(std::move(key));
         return true;
+    }
+
+    /** The placed set (bitmap) and the current valuation, as bytes. */
+    std::string
+    nodeKey() const
+    {
+        std::string key((scheduled_.size() + 7) / 8, '\0');
+        for (size_t i = 0; i < scheduled_.size(); ++i) {
+            if (scheduled_[i])
+                key[i / 8] = static_cast<char>(key[i / 8] | (1 << (i % 8)));
+        }
+        states_.back().appendKey(key);
+        return key;
     }
 
     /** All real-time predecessors of committed_[i] already placed? */
@@ -276,6 +321,7 @@ class SerializationSearch
     std::vector<size_t> order_;
     std::vector<VarState> states_;
     size_t found_ = 0;
+    std::unordered_set<std::string> dead_; //!< Leafless node keys.
 };
 
 } // namespace

@@ -26,9 +26,15 @@
  *      prepared prefix in reverse order with releaseRestore() (commit
  *      clocks resume their pre-lock value, so peers that sampled the
  *      clock before our attempt do not observe a spurious bump).
- *   3. publish() each participant's write buffer. All involved
- *      commit locks are held, so no reader in any involved domain can
- *      accept a value mid-publication.
+ *   3. publish() each participant's write buffer into ONE
+ *      JointPublication (src/htm/htm_engine.h): the first store into
+ *      a domain's engine takes that engine's publish mutex and makes
+ *      its sequence odd, in the same ascending domain order, and no
+ *      window closes until every participant has published. The held
+ *      commit locks keep every committer out; the joint window keeps
+ *      every reader -- hardware transactions included, which subscribe
+ *      to no commit lock -- from seeing one domain's new values next
+ *      to another domain's old ones.
  *   4. releaseAdvance() in reverse order: advance each domain's
  *      commit clock past the published state.
  *
@@ -49,6 +55,7 @@
 #include <vector>
 
 #include "src/core/engine/domain.h"
+#include "src/htm/htm_engine.h"
 
 namespace rhtm
 {
@@ -74,8 +81,9 @@ class DomainCommitPart
     virtual bool prepare() = 0;
 
     /** Write back this domain's buffered writes. Called with every
-     *  involved domain's commit lock held. */
-    virtual void publish() = 0;
+     *  involved domain's commit lock held; engine-visible stores go
+     *  through @p window so all domains publish at one instant. */
+    virtual void publish(JointPublication &window) = 0;
 
     /** Release after successful publication, advancing the domain's
      *  commit clock. */
@@ -96,6 +104,20 @@ sortByDomain(std::vector<DomainCommitPart *> &parts)
 }
 
 /**
+ * Step 3 on its own: publish every participant in one joint window.
+ * Also the whole publication of a caller whose participants are
+ * already frozen (the store's escalated mode), so nothing needs
+ * preparing.
+ */
+inline void
+publishJointly(std::vector<DomainCommitPart *> &parts)
+{
+    JointPublication window;
+    for (DomainCommitPart *p : parts)
+        p->publish(window);
+}
+
+/**
  * Run the ordered two-phase commit over `parts` (must already be
  * sorted by ascending domain id -- see sortByDomain). Returns true on
  * commit; on false every domain is back to its pre-attempt state and
@@ -111,8 +133,7 @@ multiDomainCommit(std::vector<DomainCommitPart *> &parts)
             return false;
         }
     }
-    for (DomainCommitPart *p : parts)
-        p->publish();
+    publishJointly(parts);
     for (size_t i = parts.size(); i-- > 0;)
         parts[i]->releaseAdvance();
     return true;

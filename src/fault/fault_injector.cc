@@ -91,6 +91,7 @@ FaultInjector::FaultInjector(const FaultPlan &plan, unsigned tid)
                 continue;
         }
         sites_[static_cast<unsigned>(rule.site)].push_back(rs);
+        ruledSites_ |= uint32_t(1) << static_cast<unsigned>(rule.site);
     }
 }
 
@@ -111,11 +112,9 @@ FaultInjector::resetForTest()
 }
 
 FaultKind
-FaultInjector::fire(FaultSite site, uint32_t *delay_spins)
+FaultInjector::fireRuled(unsigned idx, uint64_t hit, uint32_t *delay_spins)
 {
-    const unsigned idx = static_cast<unsigned>(site);
-    const uint64_t hit = ++hits_[idx];
-
+    const FaultSite site = static_cast<FaultSite>(idx);
     for (RuleState &rs : sites_[idx]) {
         const FaultRule &r = rs.rule;
         if (rs.fired >= r.maxFires || hit < r.firstHit)

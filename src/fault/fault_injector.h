@@ -81,6 +81,7 @@ enum class FaultSite : unsigned
 /** Number of injection sites. */
 constexpr unsigned kNumFaultSites =
     static_cast<unsigned>(FaultSite::kNumSites);
+static_assert(kNumFaultSites <= 32, "FaultInjector's site mask is 32 bits");
 
 /** Printable name for a site ("tx-read", "prefix-commit", ...). */
 const char *faultSiteName(FaultSite site);
@@ -200,9 +201,18 @@ class FaultInjector
      * Record a hit of @p site and return the fault to apply there
      * (kNone almost always). Delay/yield kinds carry their parameters;
      * abort kinds are executed by the caller (HtmTxn/session), which
-     * owns the unwind and the statistics.
+     * owns the unwind and the statistics. A site with no compiled rule
+     * only counts the hit, inline; the rule walk is out of line.
      */
-    FaultKind fire(FaultSite site, uint32_t *delay_spins = nullptr);
+    FaultKind
+    fire(FaultSite site, uint32_t *delay_spins = nullptr)
+    {
+        const unsigned idx = static_cast<unsigned>(site);
+        const uint64_t hit = ++hits_[idx];
+        if ((ruledSites_ >> idx & 1u) == 0)
+            return FaultKind::kNone;
+        return fireRuled(idx, hit, delay_spins);
+    }
 
     /** Effective read capacity given the active squeeze (if any). */
     size_t
@@ -262,6 +272,9 @@ class FaultInjector
     void resetForTest();
 
   private:
+    /** fire()'s rule walk for a site with at least one rule. */
+    FaultKind fireRuled(unsigned idx, uint64_t hit, uint32_t *delay_spins);
+
     /** One compiled rule: the rule, its scaled threshold, its count. */
     struct RuleState
     {
@@ -283,6 +296,8 @@ class FaultInjector
      * threshold rounds to 0) are left out; neither draws from the RNG.
      */
     std::array<std::vector<RuleState>, kNumFaultSites> sites_;
+    /** Bit i set iff sites_[i] is non-empty (fire()'s inline test). */
+    uint32_t ruledSites_ = 0;
     std::array<uint64_t, kNumFaultSites> hits_{};
     std::array<uint64_t, kNumFaultSites> fires_{};
     uint64_t totalFires_ = 0;

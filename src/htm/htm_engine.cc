@@ -43,9 +43,7 @@ HtmEngine::directStore(uint64_t *addr, uint64_t value)
 {
     schedPoint(SchedPoint::kDirectStore, addr);
     PublishGuard guard(*this);
-    std::atomic_ref<uint64_t>(*addr).store(value,
-                                           std::memory_order_release);
-    bumpStripe(addr);
+    publishWord(addr, value, guard.stamp());
 }
 
 bool
@@ -59,8 +57,7 @@ HtmEngine::directCas(uint64_t *addr, uint64_t &expected, uint64_t desired)
         expected = cur;
         return false;
     }
-    ref.store(desired, std::memory_order_release);
-    bumpStripe(addr);
+    publishWord(addr, desired, guard.stamp());
     return true;
 }
 
@@ -71,9 +68,37 @@ HtmEngine::directFetchAdd(uint64_t *addr, uint64_t delta)
     PublishGuard guard(*this);
     auto ref = std::atomic_ref<uint64_t>(*addr);
     uint64_t cur = ref.load(std::memory_order_acquire);
-    ref.store(cur + delta, std::memory_order_release);
-    bumpStripe(addr);
+    publishWord(addr, cur + delta, guard.stamp());
     return cur;
+}
+
+JointPublication::~JointPublication()
+{
+    // All stores are in; only now does any joined engine's sequence go
+    // even. Close order is irrelevant: every window was open before
+    // the first close.
+    while (head_ != nullptr) {
+        HtmEngine *eng = head_;
+        head_ = eng->jointNext_;
+        eng->jointNext_ = nullptr;
+        eng->closeWindow();
+    }
+}
+
+void
+JointPublication::store(HtmEngine &eng, uint64_t *addr, uint64_t value)
+{
+    // Only engines this window holds are walked: their jointNext_ is
+    // ours to read.
+    HtmEngine *e = head_;
+    while (e != nullptr && e != &eng)
+        e = e->jointNext_;
+    if (e == nullptr) {
+        eng.jointStamp_ = eng.openWindow();
+        eng.jointNext_ = head_;
+        head_ = &eng;
+    }
+    eng.publishWord(addr, value, eng.jointStamp_);
 }
 
 } // namespace rhtm

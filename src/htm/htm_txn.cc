@@ -146,7 +146,12 @@ HtmTxn::begin()
     schedPoint(SchedPoint::kHtmBegin);
     resetState();
     active_ = true;
-    lastSeq_ = ~uint64_t(0); // Sentinel: no stable window observed yet.
+    // The (empty) read set is consistent at any even sequence value,
+    // so a quiescent engine lets even the first read take the one-load
+    // path; an open window leaves the sentinel, which no sequence value
+    // equals.
+    const uint64_t seq = eng_.seq();
+    lastSeq_ = (seq & 1) != 0 ? ~uint64_t(0) : seq;
     if (fault_ != nullptr) {
         faultPoint(FaultSite::kHtmBegin);
         // Capacity squeezes are (re)evaluated per transaction.
@@ -168,45 +173,53 @@ HtmTxn::read(const uint64_t *addr)
     if (!writes_.empty() && writes_.lookup(addr, buffered))
         return buffered;
 
-    const size_t stripe = eng_.stripeOf(addr);
+    // Seqlock read against the window the read set is consistent at:
+    // the acquire load orders the sequence check after the value, so
+    // an unmoved sequence proves no publication wrote anything since
+    // -- the value belongs to the same snapshot as every earlier read.
+    uint64_t val = std::atomic_ref<const uint64_t>(*addr).load(
+        std::memory_order_acquire);
+    if (eng_.seq() != lastSeq_)
+        val = readAcrossPublication(addr);
+
+    bool inserted = false;
+    const uint64_t line =
+        reinterpret_cast<uint64_t>(addr) >> HtmEngine::kLineShift;
+    if (!readLines_.insert(line, inserted))
+        fail(HtmAbortCause::kCapacity, false);
+    if (inserted) {
+        if (readLines_.size() > effReadCap_)
+            fail(HtmAbortCause::kCapacity, false);
+        readLog_.push_back(static_cast<uint32_t>(eng_.stripeOf(addr)));
+    }
+    return val;
+}
+
+uint64_t
+HtmTxn::readAcrossPublication(const uint64_t *addr)
+{
+    ++revalidations_;
     auto ref = std::atomic_ref<const uint64_t>(*addr);
-    uint64_t val, ver, s1;
     for (;;) {
-        s1 = eng_.seq();
+        const uint64_t s1 = eng_.seq();
         if (s1 & 1) {
             cpuRelax();
             continue;
         }
-        if (s1 != lastSeq_) {
-            // Memory changed since the last stable window: re-validate
-            // the whole read log inside this window. A mismatch is a
-            // genuine invalidation of a tracked line -> conflict abort
-            // (correct even if this window later proves unstable).
-            for (const ReadEntry &e : readLog_) {
-                if (eng_.stripeVersion(e.stripe) != e.version)
-                    fail(HtmAbortCause::kConflict, true);
-            }
+        // Memory changed since the last stable window: re-validate the
+        // whole read log inside this one. A stamp past lastSeq_ is a
+        // genuine invalidation of a tracked line -> conflict abort
+        // (correct even if this window later proves unstable).
+        for (uint32_t stripe : readLog_) {
+            if (eng_.stripeStamp(stripe) > lastSeq_)
+                fail(HtmAbortCause::kConflict, true);
         }
-        val = ref.load(std::memory_order_acquire);
-        ver = eng_.stripeVersion(stripe);
+        const uint64_t val = ref.load(std::memory_order_acquire);
         if (eng_.seq() == s1) {
             lastSeq_ = s1;
-            break;
+            return val;
         }
     }
-
-    bool inserted = false;
-    if (!readLines_.insert(
-            reinterpret_cast<uint64_t>(addr) >> HtmEngine::kLineShift,
-            inserted)) {
-        fail(HtmAbortCause::kCapacity, false);
-    }
-    if (inserted) {
-        if (readLines_.size() > effReadCap_)
-            fail(HtmAbortCause::kCapacity, false);
-        readLog_.push_back({static_cast<uint32_t>(stripe), ver});
-    }
-    return val;
 }
 
 void
@@ -244,8 +257,8 @@ HtmTxn::commit()
 
     {
         HtmEngine::PublishGuard guard(eng_);
-        for (const ReadEntry &e : readLog_) {
-            if (eng_.stripeVersion(e.stripe) != e.version)
+        for (uint32_t stripe : readLog_) {
+            if (eng_.stripeStamp(stripe) > lastSeq_)
                 fail(HtmAbortCause::kConflict, true);
         }
         // The publication window proper: the sequence is odd and
@@ -254,10 +267,9 @@ HtmTxn::commit()
         // argument depends on (an abort unwinds through the guard, so
         // the sequence is restored either way).
         faultPoint(FaultSite::kPublishWindow);
-        writes_.forEach([this](uint64_t *addr, uint64_t value) {
-            std::atomic_ref<uint64_t>(*addr).store(
-                value, std::memory_order_release);
-            eng_.bumpStripe(addr);
+        const uint64_t stamp = guard.stamp();
+        writes_.forEach([this, stamp](uint64_t *addr, uint64_t value) {
+            eng_.publishWord(addr, value, stamp);
         });
     }
     resetState();

@@ -29,9 +29,14 @@ namespace rhtm
  * the exception is caught. One instance per thread; not reentrant (real
  * RTM flat-nests, and this codebase never nests hardware transactions).
  *
- * Opacity: every transactional read is validated against the engine's
- * stripe versions within a stable publication window, so a body never
- * observes two reads from different memory snapshots.
+ * Opacity: the read set is consistent at one even publication
+ * sequence value (lastSeq_). A read whose trailing sequence check
+ * finds that value unmoved costs one sequence load; a read that finds
+ * it moved re-validates every logged stripe's stamp inside a stable
+ * window and moves the snapshot forward. Either way a body never
+ * observes two reads from different memory snapshots, and a foreign
+ * publication that wrote a line already read aborts the transaction
+ * (kConflict) at its next access or at a writer's commit.
  */
 class HtmTxn
 {
@@ -118,6 +123,13 @@ class HtmTxn
     bool isReadOnly() const { return writes_.empty(); }
 
     /**
+     * Reads, over this object's life, that found the engine sequence
+     * moved since the snapshot and so re-validated the read log (each
+     * other read cost one sequence load). Reset by resetForTest().
+     */
+    uint64_t revalidations() const { return revalidations_; }
+
+    /**
      * Restore the exact post-construction state: discard any live
      * transaction, undo capacity squeezes, and rewind the internal
      * injector (if this txn owns one; an external injector is reset by
@@ -133,20 +145,22 @@ class HtmTxn
         effReadCap_ = readCap_;
         effWriteCap_ = writeCap_;
         lastSeq_ = 0;
+        revalidations_ = 0;
         if (ownedFault_ != nullptr)
             ownedFault_->resetForTest();
     }
 
   private:
-    struct ReadEntry
-    {
-        uint32_t stripe;
-        uint64_t version;
-    };
-
     /** Abort: reset to idle, count the event, throw HtmAbort. */
     [[noreturn]] void fail(HtmAbortCause cause, bool retry_ok,
                            uint8_t code = 0, bool injected = false);
+
+    /**
+     * read()'s path when a publication intervened since lastSeq_: wait
+     * for an even sequence, re-validate the read log, load @p addr,
+     * and adopt the window if it stayed stable.
+     */
+    uint64_t readAcrossPublication(const uint64_t *addr);
 
     /** Hit @p site on the injector and act on the scripted fault. */
     void faultPoint(FaultSite site);
@@ -163,8 +177,9 @@ class HtmTxn
     size_t effReadCap_;
     size_t effWriteCap_;
     bool active_;
-    uint64_t lastSeq_;
-    std::vector<ReadEntry> readLog_;
+    uint64_t lastSeq_;             //!< Snapshot the read set holds at.
+    uint64_t revalidations_ = 0;
+    std::vector<uint32_t> readLog_; //!< Stripe of each line read.
     FixedHashSet readLines_;
     WriteBuffer writes_;
     FixedHashSet writeLines_;

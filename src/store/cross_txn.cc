@@ -133,7 +133,7 @@ CrossShardPart::readWord(const uint64_t *addr)
         // commits can slip between the clock reads, but each such
         // commit is atomic, so v is still some committed value; the
         // cross-snapshot consistency gap is closed by prepare()'s
-        // value revalidation under clock + htmLock.
+        // value revalidation on the registered, clock-locked shard.
         for (unsigned i = 0; i < kReadSpins; ++i) {
             uint64_t c1 = eng_.directLoad(&g_.clock);
             if (clockIsLocked(c1)) {
@@ -288,24 +288,7 @@ CrossShardPart::freezeBlocking()
         }
         break;
     case CrossFamily::kClockEngine:
-        for (unsigned i = 0;; ++i) {
-            uint64_t c = eng_.directLoad(&g_.clock);
-            if (!clockIsLocked(c)) {
-                uint64_t expected = c;
-                if (eng_.directCas(&g_.clock, expected,
-                                   clockWithLock(c))) {
-                    snapshot_ = c;
-                    clockHeld_ = true;
-                    break;
-                }
-            }
-            spinPause(i);
-        }
-        // htmLock is only ever raised by the clock holder (see
-        // hybrid_norec.cc), so with the clock won it is necessarily 0.
-        eng_.directStore(&g_.htmLock, 1);
-        htmLockHeld_ = true;
-        stampEpoch(g_.watchdog.clockEpoch);
+        lockEngineClock(/*blocking=*/true);
         break;
     case CrossFamily::kGlobalLock:
         for (unsigned i = 0;; ++i) {
@@ -384,6 +367,53 @@ CrossShardPart::beginAttempt(bool escalated)
 }
 
 bool
+CrossShardPart::lockEngineClock(bool blocking)
+{
+    // RH NOrec's own exclusion (Algorithm 1): with a fallback
+    // registered, every fast-path writer reads the clock at commit and
+    // aborts while it is locked, and every software writer needs the
+    // clock. Register first, then lock: a fast-path writer that saw
+    // fallbacks == 0 is doomed by the registration's store, so once
+    // the CAS lands no commit can reach the shard -- yet read-only
+    // hardware transactions, which touch neither word, run on.
+    if (!registered_) {
+        eng_.directFetchAdd(&g_.fallbacks, 1);
+        registered_ = true;
+    }
+    for (unsigned i = 0; blocking || i < kPrepareSpins; ++i) {
+        uint64_t c = eng_.directLoad(&g_.clock);
+        if (!clockIsLocked(c)) {
+            uint64_t expected = c;
+            if (eng_.directCas(&g_.clock, expected, clockWithLock(c))) {
+                snapshot_ = c;
+                clockHeld_ = true;
+                stampEpoch(g_.watchdog.clockEpoch);
+                return true;
+            }
+        }
+        spinPause(i);
+    }
+    unlockEngineClock(0); // Drops only the registration.
+    return false;
+}
+
+void
+CrossShardPart::unlockEngineClock(uint64_t clock)
+{
+    // Clock first, registration last: the shard stays closed to
+    // fast-path writers until the clock is released.
+    if (clockHeld_) {
+        eng_.directStore(&g_.clock, clock);
+        clockHeld_ = false;
+        stampEpoch(g_.watchdog.clockEpoch);
+    }
+    if (registered_) {
+        eng_.directFetchAdd(&g_.fallbacks, static_cast<uint64_t>(-1));
+        registered_ = false;
+    }
+}
+
+bool
 CrossShardPart::validateReads() const
 {
     RawMem raw;
@@ -428,35 +458,15 @@ CrossShardPart::prepare()
         }
         return false;
     }
-    case CrossFamily::kClockEngine: {
-        for (unsigned i = 0; i < kPrepareSpins; ++i) {
-            uint64_t c = eng_.directLoad(&g_.clock);
-            if (!clockIsLocked(c)) {
-                uint64_t expected = c;
-                if (eng_.directCas(&g_.clock, expected,
-                                   clockWithLock(c))) {
-                    snapshot_ = c;
-                    clockHeld_ = true;
-                    // Guaranteed 0 while we hold the clock; raising it
-                    // stalls every silent hardware commit so the value
-                    // revalidation below is against a frozen shard.
-                    eng_.directStore(&g_.htmLock, 1);
-                    htmLockHeld_ = true;
-                    stampEpoch(g_.watchdog.clockEpoch);
-                    if (validateReads())
-                        return true;
-                    eng_.directStore(&g_.htmLock, 0);
-                    htmLockHeld_ = false;
-                    eng_.directStore(&g_.clock, snapshot_);
-                    clockHeld_ = false;
-                    stampEpoch(g_.watchdog.clockEpoch);
-                    return false;
-                }
-            }
-            spinPause(i);
-        }
+    case CrossFamily::kClockEngine:
+        // The value revalidation runs against a shard no committer can
+        // reach (see lockEngineClock).
+        if (!lockEngineClock(/*blocking=*/false))
+            return false;
+        if (validateReads())
+            return true;
+        unlockEngineClock(snapshot_);
         return false;
-    }
     case CrossFamily::kGlobalLock:
         // Held since beginAttempt; nothing to validate.
         return true;
@@ -504,7 +514,7 @@ CrossShardPart::prepare()
 }
 
 void
-CrossShardPart::publish()
+CrossShardPart::publish(JointPublication &window)
 {
     RawMem raw;
     switch (family_) {
@@ -514,8 +524,12 @@ CrossShardPart::publish()
         break;
     case CrossFamily::kClockEngine:
     case CrossFamily::kGlobalLock:
+        // Every involved shard's values appear at one instant, so a
+        // family-B hardware reader, which subscribes to none of the
+        // words held here, cannot see this shard's new values beside
+        // another shard's old ones.
         for (const auto &w : writes_)
-            eng_.directStore(w.first, w.second);
+            window.store(eng_, w.first, w.second);
         break;
     case CrossFamily::kTl2:
         if (escalated_) {
@@ -559,17 +573,8 @@ CrossShardPart::releaseAdvance()
         }
         break;
     case CrossFamily::kClockEngine:
-        if (htmLockHeld_) {
-            eng_.directStore(&g_.htmLock, 0);
-            htmLockHeld_ = false;
-        }
-        if (clockHeld_) {
-            eng_.directStore(&g_.clock,
-                             wrote() ? clockUnlockAndAdvance(snapshot_)
-                                     : snapshot_);
-            clockHeld_ = false;
-            stampEpoch(g_.watchdog.clockEpoch);
-        }
+        unlockEngineClock(wrote() ? clockUnlockAndAdvance(snapshot_)
+                                  : snapshot_);
         break;
     case CrossFamily::kGlobalLock:
         if (frozen_) {
@@ -603,15 +608,7 @@ CrossShardPart::releaseRestore()
         }
         break;
     case CrossFamily::kClockEngine:
-        if (htmLockHeld_) {
-            eng_.directStore(&g_.htmLock, 0);
-            htmLockHeld_ = false;
-        }
-        if (clockHeld_) {
-            eng_.directStore(&g_.clock, snapshot_);
-            clockHeld_ = false;
-            stampEpoch(g_.watchdog.clockEpoch);
-        }
+        unlockEngineClock(snapshot_);
         break;
     case CrossFamily::kGlobalLock:
         // Freeze persists until rollbackAttempt: the lock was taken at
@@ -629,12 +626,6 @@ CrossShardPart::releaseRestore()
         }
         break;
     }
-}
-
-void
-CrossShardPart::publishEscalated()
-{
-    publish();
 }
 
 void

@@ -24,11 +24,15 @@
  *    without moving the clock when no fallback is registered; those
  *    silent commits are atomic (a sandwich load sees pre- or
  *    post-state, never a torn write) and any resulting cross-read
- *    staleness is caught by prepare's value revalidation, which runs
- *    with the clock locked AND htmLock raised (fast paths subscribe
- *    htmLock, so nothing can commit mid-validation). Raising htmLock
- *    after winning the clock is race-free: every native raises it only
- *    while holding the clock (see hybrid_norec.cc, rh_norec.cc).
+ *    staleness is caught by prepare's value revalidation. Prepare
+ *    uses RH NOrec Algorithm 1's own exclusion rather than the HTM
+ *    lock: it registers in TmGlobals::fallbacks, then CAS-locks the
+ *    clock. With a fallback registered every fast-path writer reads
+ *    the clock at commit and aborts while it is locked, so nothing can
+ *    commit mid-validation -- yet read-only hardware transactions,
+ *    which subscribe only to htmLock, run on untouched. Publication
+ *    goes through the commit's JointPublication, so a hardware reader
+ *    sees every involved shard's new values or none of them.
  *  - global-lock (lock-elision): there is no clock to validate
  *    against, so the shard is frozen for the whole attempt -- the
  *    global lock is acquired at begin (bounded spin, then restart),
@@ -51,9 +55,11 @@
  * cross-shard committers -- which acquire shards in ascending domain-id
  * order -- can never deadlock against each other or against natives.
  * Repeated failure escalates: the coordinator serializes under a
- * store-level mutex and calls freeze() on every involved shard in
- * domain order (blocking acquires of the same words), after which the
- * body reads directly and publication cannot fail. See docs/STORE.md.
+ * store-level mutex and freezes every involved shard in domain order
+ * (blocking acquires of the same words -- for clock/engine, the same
+ * registration plus clock lock), after which the body reads directly
+ * and publication, through the same joint window, cannot fail. See
+ * docs/STORE.md.
  *
  * Not supported inside cross-shard bodies: becomeIrrevocable() (the
  * escalated mode IS the irrevocable analogue) and tx.retry().
@@ -123,9 +129,6 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     /** Post-commit cleanup (buffers only; locks already released). */
     void finishCommitted();
 
-    /** Escalated-mode publication (no prepare; freeze already held). */
-    void publishEscalated();
-
     /** Escalated-mode release, called in descending domain order. */
     void releaseEscalated();
 
@@ -134,7 +137,7 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
 
     uint64_t domainId() const override { return rt_.domain().id(); }
     bool prepare() override;
-    void publish() override;
+    void publish(JointPublication &window) override;
     void releaseAdvance() override;
     void releaseRestore() override;
 
@@ -182,6 +185,8 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     bool lockTl2Orec(size_t idx, bool blocking, bool written);
     void releaseTl2Owned(bool publishVersions);
     void freezeBlocking();
+    bool lockEngineClock(bool blocking);
+    void unlockEngineClock(uint64_t clock);
     bool validateReads() const;
 
     TmRuntime &rt_;
@@ -203,7 +208,8 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     bool frozen_ = false;    //!< Family freeze held (C always; all
                              //!< families in escalated mode).
     bool clockHeld_ = false; //!< Clock seqlock held (families A/B).
-    bool htmLockHeld_ = false;
+    bool registered_ = false; //!< Counted in fallbacks (family B).
+    bool htmLockHeld_ = false; //!< HTM lock held (family E).
     bool tokenHeld_ = false; //!< TL2 irrevocable token (escalated).
 };
 

@@ -212,8 +212,8 @@ ShardedStore::multiRmw(StoreWorker &w,
                        const std::vector<uint64_t> &keys,
                        uint64_t delta, const StoreOpts &opts)
 {
-    std::vector<std::pair<unsigned, uint64_t>> byShard;
-    byShard.reserve(keys.size());
+    std::vector<std::pair<unsigned, uint64_t>> &byShard = w.rmwByShard_;
+    byShard.clear();
     for (uint64_t key : keys)
         byShard.emplace_back(shardOf(key), key);
     std::sort(byShard.begin(), byShard.end());
@@ -248,18 +248,20 @@ ShardedStore::multiRmw(StoreWorker &w,
     }
     if (byShard.empty())
         return TxnOutcome::kCommitted;
-    return runCross(w, byShard, delta, opts);
+    return runCross(w, delta, opts);
 }
 
 TxnOutcome
-ShardedStore::runCross(
-    StoreWorker &w,
-    const std::vector<std::pair<unsigned, uint64_t>> &byShard,
-    uint64_t delta, const StoreOpts &opts)
+ShardedStore::runCross(StoreWorker &w, uint64_t delta,
+                       const StoreOpts &opts)
 {
+    const std::vector<std::pair<unsigned, uint64_t>> &byShard =
+        w.rmwByShard_;
     // Involved shards, ordered by domain id (= lock acquisition and
     // freeze order).
-    std::vector<std::pair<CrossShardPart *, unsigned>> order;
+    std::vector<std::pair<CrossShardPart *, unsigned>> &order =
+        w.crossOrder_;
+    order.clear();
     for (const auto &[s, key] : byShard) {
         (void)key;
         if (order.empty() || order.back().second != s)
@@ -269,7 +271,8 @@ ShardedStore::runCross(
               [](const auto &a, const auto &b) {
                   return a.first->domainId() < b.first->domainId();
               });
-    std::vector<DomainCommitPart *> parts;
+    std::vector<DomainCommitPart *> &parts = w.crossParts_;
+    parts.clear();
     for (const auto &[p, s] : order) {
         (void)s;
         parts.push_back(p);
@@ -353,10 +356,8 @@ ShardedStore::runCross(
 
         bool committed;
         if (escalated) {
-            for (auto &[p, s] : order) {
-                (void)s;
-                p->publishEscalated();
-            }
+            // Frozen since beginAttempt: nothing to validate.
+            publishJointly(parts);
             for (auto it = order.rbegin(); it != order.rend(); ++it)
                 it->first->releaseEscalated();
             ctx0.mutableStats().inc(Counter::kCrossShardEscalations);

@@ -144,8 +144,14 @@ class StoreWorker
     unsigned id_;
     std::vector<ThreadCtx *> ctxs_; //!< One per shard.
     std::vector<std::unique_ptr<CrossShardPart>> parts_;
-    /** scan()'s index entries, reused across calls and attempts. */
+    // Per-call scratch, reused so a steady-state operation allocates
+    // nothing: scan()'s index entries, multiRmw()'s (shard, key) list,
+    // and a cross-shard RMW's involved parts in domain order (with
+    // their shards, and as the commit protocol's participant list).
     std::vector<std::pair<int64_t, int64_t>> scanEntries_;
+    std::vector<std::pair<unsigned, uint64_t>> rmwByShard_;
+    std::vector<std::pair<CrossShardPart *, unsigned>> crossOrder_;
+    std::vector<DomainCommitPart *> crossParts_;
 };
 
 class ShardedStore
@@ -241,10 +247,9 @@ class ShardedStore
     template <typename Body>
     TxnOutcome runNative(StoreWorker &w, unsigned shard,
                          const StoreOpts &opts, Body &&body);
-    TxnOutcome runCross(StoreWorker &w,
-                        const std::vector<std::pair<unsigned,
-                                                    uint64_t>> &byShard,
-                        uint64_t delta, const StoreOpts &opts);
+    /** Commit w.rmwByShard_ (sorted, spanning shards) cross-shard. */
+    TxnOutcome runCross(StoreWorker &w, uint64_t delta,
+                        const StoreOpts &opts);
 
     StoreConfig cfg_;
     std::vector<std::unique_ptr<TmRuntime>> shards_;

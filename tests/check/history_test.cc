@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "src/check/history.h"
 
@@ -62,6 +63,34 @@ TEST(HistoryCheckerTest, InterleavedSnapshotReadersAreOk)
     h.push(1, HistKind::kCommit);
     CheckResult res = checkHistory(h, {0, 0});
     EXPECT_TRUE(res.ok()) << res.detail;
+}
+
+TEST(HistoryCheckerTest, WrongEarlyPlacementIsNotReexploredPerInterleaving)
+{
+    // t0 writes x; t1 read x's old value; t2..t15 write their own vars.
+    // All are concurrent, so the search first places t0 (lowest begin
+    // index), after which t1 can never be placed -- under every one of
+    // the 14! orders of t2..t15. Only t1 first, then t0, works. The
+    // checker must reach that order by proving each (placed set,
+    // valuation) dead once, not once per interleaving.
+    const unsigned kOthers = 14;
+    History h;
+    for (unsigned t = 0; t < kOthers + 2; ++t) {
+        h.push(t, HistKind::kBegin);
+        h.push(t, HistKind::kAttempt);
+    }
+    h.push(0, HistKind::kWrite, 0, 1);
+    h.push(1, HistKind::kRead, 0, 0);
+    for (unsigned t = 2; t < kOthers + 2; ++t)
+        h.push(t, HistKind::kWrite, t, 1);
+    for (unsigned t = 0; t < kOthers + 2; ++t)
+        h.push(t, HistKind::kCommit);
+    CheckResult res =
+        checkHistory(h, std::vector<uint64_t>(kOthers + 2, 0));
+    EXPECT_TRUE(res.ok()) << res.detail;
+    ASSERT_EQ(res.witnessOrder.size(), kOthers + 2);
+    EXPECT_EQ(res.witnessOrder[0], 1u);
+    EXPECT_EQ(res.witnessOrder[1], 0u);
 }
 
 TEST(HistoryCheckerTest, CommittedWriteSkewIsNotSerializable)

@@ -38,6 +38,30 @@ TEST(ReplayTest, TokenReplaysIdenticallyAHundredTimes)
     }
 }
 
+TEST(ReplayTest, TokenReplaysIdenticallyAfterUnrelatedRuns)
+{
+    // TmRuntime::resetForTest does not rewind the HTM engine's
+    // sequence or stripe stamps, so runs in between start the replay
+    // from new absolute values. Stamps are only ever compared by order
+    // against a transaction's snapshot, so the replay must still make
+    // the same abort decisions and reproduce the history exactly.
+    for (AlgoKind kind : {AlgoKind::kHybridNOrec, AlgoKind::kRhNOrec}) {
+        CheckProgram program;
+        ASSERT_TRUE(curatedProgram("write-skew", program));
+        Explorer explorer(kind, program);
+        RunOutcome original = explorer.sample(5);
+        ASSERT_TRUE(original.completed) << algoKindName(kind);
+        for (uint64_t seed = 6; seed < 10; ++seed)
+            explorer.sample(seed);
+        RunOutcome re = explorer.replay(original.token);
+        ASSERT_TRUE(re.completed) << algoKindName(kind);
+        EXPECT_EQ(re.token, original.token) << algoKindName(kind);
+        EXPECT_EQ(re.historyText, original.historyText)
+            << algoKindName(kind);
+        EXPECT_EQ(re.steps, original.steps) << algoKindName(kind);
+    }
+}
+
 TEST(ReplayTest, DistinctSeedsReachDistinctSchedules)
 {
     CheckProgram program;

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "src/htm/htm_txn.h"
@@ -277,6 +280,160 @@ TEST_F(HtmFixture, StatsCountReadWriteLines)
     EXPECT_EQ(txa.readLines(), 2u);
     EXPECT_EQ(txa.writeLines(), 1u);
     txa.commit();
+}
+
+// ---------------------------------------------------------------------
+// The stamp read path: a read costs one sequence load unless some
+// publication intervened since the read set's snapshot; then, and
+// only then, the whole read log is re-validated against the stripes'
+// publication stamps.
+
+TEST_F(HtmFixture, QuiescentReadsTakeTheOneLoadPath)
+{
+    txa.begin();
+    txa.read(&x);
+    txa.read(&y);
+    txa.read(&x);
+    txa.commit();
+    EXPECT_EQ(txa.revalidations(), 0u);
+}
+
+TEST_F(HtmFixture, ForeignPublicationToUnrelatedLineDoesNotAbort)
+{
+    txa.begin();
+    txa.read(&x);
+    eng.directStore(&z, 3); // Foreign publication, unrelated line.
+    EXPECT_EQ(txa.read(&y), 0u) << "must survive the revalidation";
+    EXPECT_EQ(txa.revalidations(), 1u);
+    // The snapshot moved forward: with no further publication the
+    // next reads take the one-load path again.
+    txa.read(&x);
+    txa.read(&z);
+    EXPECT_EQ(txa.revalidations(), 1u);
+    txa.commit();
+    EXPECT_EQ(stats0.get(Counter::kHtmConflictAborts), 0u);
+}
+
+TEST_F(HtmFixture, PublicationToReadLineAbortsAtNextAccess)
+{
+    txa.begin();
+    txa.read(&x);
+    txb.begin();
+    txb.write(&x, 9);
+    txb.commit(); // A hardware commit stamps x's stripe.
+    try {
+        txa.read(&y); // Unrelated line: the log revalidation catches x.
+        FAIL() << "expected a conflict abort";
+    } catch (const HtmAbort &a) {
+        EXPECT_EQ(a.cause, HtmAbortCause::kConflict);
+    }
+    EXPECT_EQ(stats0.get(Counter::kHtmConflictAborts), 1u);
+}
+
+TEST_F(HtmFixture, PublicationToReadLineAbortsWriterAtCommit)
+{
+    txa.begin();
+    txa.read(&x);
+    txa.write(&y, 5);
+    txb.begin();
+    txb.write(&x, 9);
+    txb.commit();
+    try {
+        txa.commit(); // No further read: the commit's check catches x.
+        FAIL() << "expected a conflict abort";
+    } catch (const HtmAbort &a) {
+        EXPECT_EQ(a.cause, HtmAbortCause::kConflict);
+    }
+    EXPECT_EQ(eng.directLoad(&y), 0u) << "aborted commit must not publish";
+}
+
+TEST_F(HtmFixture, ReadRacingAnOpenWindowSpinsForThePublishedValue)
+{
+    txa.begin();
+    txa.read(&y); // Snapshot taken; y is not written below.
+    std::atomic<bool> open{false};
+    std::thread publisher([&] {
+        JointPublication window;
+        window.store(eng, &x, 42);
+        open.store(true);
+        // Keep the sequence odd long enough for the reader to arrive.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    while (!open.load())
+        std::this_thread::yield();
+    EXPECT_EQ(txa.read(&x), 42u) << "read must wait out the window";
+    publisher.join();
+    EXPECT_EQ(txa.revalidations(), 1u);
+    txa.commit();
+}
+
+TEST(HtmJointPublicationTest, WindowsStayOpenUntilTheLastStoreIsIn)
+{
+    HtmEngine e1, e2;
+    HtmTxn reader(e2, 0, nullptr);
+    alignas(64) static uint64_t a = 0;
+    alignas(64) static uint64_t b = 0;
+    reader.begin();
+    EXPECT_EQ(reader.read(&b), 0u);
+    {
+        JointPublication window;
+        window.store(e1, &a, 1);
+        EXPECT_EQ(e1.seq() % 2, 1u);
+        EXPECT_EQ(e2.seq() % 2, 0u) << "joined only on first store";
+        window.store(e2, &b, 2);
+        window.store(e1, &a, 3); // Already joined: same window.
+        EXPECT_EQ(e1.seq() % 2, 1u);
+        EXPECT_EQ(e2.seq() % 2, 1u);
+    }
+    EXPECT_EQ(e1.seq() % 2, 0u);
+    EXPECT_EQ(e2.seq() % 2, 0u);
+    EXPECT_EQ(e1.directLoad(&a), 3u);
+    EXPECT_EQ(e2.directLoad(&b), 2u);
+    // One window per engine: the sequences moved by exactly one
+    // publication each.
+    EXPECT_EQ(e1.seq(), 2u);
+    EXPECT_EQ(e2.seq(), 2u);
+    EXPECT_THROW(reader.read(&a), HtmAbort) << "b was stamped";
+}
+
+TEST(HtmStampTest, ResetTxnOnAnAdvancedEngineReplaysIdentically)
+{
+    // Stamps and the sequence are never rewound; resetForTest rewinds
+    // only the transaction. Stamps are compared by order against the
+    // snapshot, so a replay from a later absolute sequence must make
+    // exactly the same abort decisions at the same positions.
+    HtmEngine eng;
+    HtmTxn tx(eng, 0, nullptr);
+    alignas(64) static uint64_t w[4] = {};
+    alignas(64) static uint64_t other = 0;
+    auto script = [&]() {
+        std::vector<int> outcome;
+        for (int round = 0; round < 6; ++round) {
+            int at = -1;
+            try {
+                tx.begin();
+                tx.read(&w[0]);
+                at = 1;
+                eng.directStore(round % 2 == 0 ? &other : &w[0], round);
+                tx.read(&w[1]);
+                at = 2;
+                tx.write(&w[2], round);
+                tx.commit();
+                at = 3;
+            } catch (const HtmAbort &a) {
+                EXPECT_EQ(a.cause, HtmAbortCause::kConflict);
+            }
+            outcome.push_back(at);
+        }
+        outcome.push_back(static_cast<int>(tx.revalidations()));
+        return outcome;
+    };
+    std::vector<int> first = script();
+    EXPECT_EQ(first, (std::vector<int>{3, 1, 3, 1, 3, 1, 6}));
+    for (int i = 0; i < 3; ++i) {
+        tx.resetForTest();
+        EXPECT_EQ(script(), first) << "replay " << i;
+    }
 }
 
 TEST(HtmCapacityTest, WriteCapacityAbortIsNoRetry)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -20,6 +22,7 @@
 #include "src/store/sharded_store.h"
 #include "src/util/barrier.h"
 #include "src/util/rng.h"
+#include "src/util/sched_point.h"
 
 namespace rhtm
 {
@@ -315,6 +318,61 @@ TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
     EXPECT_EQ(sum, kKeys * kSeedValue + totalCommitted * 3);
 }
 
+TEST_P(StoreAlgoTest, EscalatedCrossShardRmwPreservesSum)
+{
+    // rmwMaxAttempts = 0: every cross-shard RMW skips the optimistic
+    // commit and runs frozen (blocking freezes in domain order, one
+    // joint publication).
+    const unsigned kThreads = 2;
+    const unsigned kOpsPerThread = 40;
+    const uint64_t kKeys = 24;
+    StoreConfig cfg = configFor(GetParam(), 3);
+    cfg.rmwMaxAttempts = 0;
+    ShardedStore store(cfg);
+    StoreWorker &seeder = store.registerWorker();
+    store.seed(seeder, kKeys, kSeedValue);
+    std::vector<StoreWorker *> workers(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t)
+        workers[t] = &store.registerWorker();
+
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            Rng rng(77 + t);
+            for (unsigned op = 0; op < kOpsPerThread; ++op) {
+                std::set<uint64_t> picked;
+                while (picked.size() < 3)
+                    picked.insert(rng.nextBounded(kKeys));
+                std::vector<uint64_t> keys(picked.begin(),
+                                           picked.end());
+                EXPECT_EQ(store.multiRmw(*workers[t], keys, 1),
+                          TxnOutcome::kCommitted);
+            }
+        });
+    }
+    for (auto &th : pool)
+        th.join();
+
+    uint64_t sum = 0;
+    for (uint64_t key = 0; key < kKeys; ++key) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(seeder, key, v, found),
+                  TxnOutcome::kCommitted);
+        sum += v;
+    }
+    EXPECT_EQ(sum, kKeys * kSeedValue + 3ull * kThreads * kOpsPerThread);
+    EXPECT_GT(store.stats().get(Counter::kCrossShardEscalations), 0u);
+    for (unsigned s = 0; s < store.shardCount(); ++s) {
+        TmRuntime &rt = store.shardRuntime(s);
+        EXPECT_EQ(rt.peek(&rt.globals().htmLock), 0u) << "shard " << s;
+        EXPECT_EQ(rt.peek(&rt.globals().fallbacks), 0u) << "shard " << s;
+        EXPECT_EQ(rt.peek(&rt.globals().globalLock), 0u) << "shard " << s;
+        EXPECT_FALSE(clockIsLocked(rt.peek(&rt.globals().clock)))
+            << "shard " << s;
+    }
+}
+
 /** StoreObserver -> check::History bridge (mirrors bench_store). */
 class RecordingObserver final : public StoreObserver
 {
@@ -416,6 +474,178 @@ TEST_P(StoreAlgoTest, ConcurrentHistoriesAreStrictlySerializable)
 
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, StoreAlgoTest, ::testing::ValuesIn(allAlgoKinds()),
+    [](const ::testing::TestParamInfo<AlgoKind> &info) {
+        std::string name = algoKindName(info.param);
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
+
+// ---------------------------------------------------------------------
+// Family B (hy-norec, hy-norec-lazy, rh-norec): a cross-shard commit
+// registers as a fallback and locks the clock instead of raising the
+// HTM lock, and publishes every shard in one joint window.
+
+class StoreFamilyBTest : public ::testing::TestWithParam<AlgoKind>
+{
+};
+
+TEST_P(StoreFamilyBTest, ReadOnlyFastPathSurvivesCrossShardCommit)
+{
+    ShardedStore store(configFor(GetParam(), 2));
+    StoreWorker &rmwWorker = store.registerWorker();
+    std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                               store.keyForShard(1, 1)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(rmwWorker, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+
+    TmRuntime &rt = store.shardRuntime(0);
+    ThreadCtx &ctx = rt.registerThread();
+    // Words the RMW never writes, read by a hardware fast path on an
+    // involved shard.
+    alignas(64) static uint64_t a = 0;
+    alignas(64) static uint64_t b = 0;
+    const StatsSummary before = store.shardStats(0);
+    unsigned attempts = 0;
+    rt.run(ctx, [&](Txn &tx) {
+        ++attempts;
+        tx.load(&a);
+        if (attempts == 1) {
+            // The whole cross-shard commit lands between two reads.
+            std::thread rmw([&] {
+                EXPECT_EQ(store.multiRmw(rmwWorker, keys, 1),
+                          TxnOutcome::kCommitted);
+            });
+            rmw.join();
+        }
+        tx.load(&b);
+    });
+    const StatsSummary after = store.shardStats(0);
+    auto delta = [&](Counter c) { return after.get(c) - before.get(c); };
+    EXPECT_EQ(attempts, 1u);
+    EXPECT_EQ(delta(Counter::kCommitsFastPath), 1u);
+    EXPECT_EQ(delta(Counter::kHtmSubscriptionAborts), 0u);
+    EXPECT_EQ(delta(Counter::kHtmConflictAborts), 0u);
+    EXPECT_EQ(store.stats().get(Counter::kCrossShardCommits), 1u);
+    EXPECT_EQ(rt.peek(&rt.globals().htmLock), 0u);
+    EXPECT_EQ(rt.peek(&rt.globals().fallbacks), 0u)
+        << "the cross part's registration leaked";
+}
+
+/**
+ * Runs the calling thread in lockstep with a controller: every
+ * scheduling point the thread reaches parks it until the controller
+ * resumes it, so the controller can act between any two protocol
+ * steps.
+ */
+class LockstepClient final : public SchedClient
+{
+  public:
+    void
+    schedYield(SchedPoint, const void *, bool) override
+    {
+        std::unique_lock<std::mutex> lock(m_);
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return !parked_; });
+    }
+
+    /** Block until the thread parks or finishes; true = finished. */
+    bool
+    awaitStep()
+    {
+        std::unique_lock<std::mutex> lock(m_);
+        cv_.wait(lock, [&] { return parked_ || done_; });
+        return !parked_;
+    }
+
+    void
+    resume()
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        parked_ = false;
+        cv_.notify_all();
+    }
+
+    void
+    finish()
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        done_ = true;
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    bool parked_ = false;
+    bool done_ = false;
+};
+
+// Cross-shard atomic visibility for hardware readers, which subscribe
+// to no lock the cross commit holds. Between every two scheduling
+// points of the committing thread the controller reads one shard's
+// key natively and, if that read sees the new value, reads the other
+// shard's key: it must see the new value too. Publishing each shard in
+// its own window fails this at the point between the two windows.
+TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
+{
+    ShardedStore store(configFor(GetParam(), 2));
+    StoreWorker &writer = store.registerWorker();
+    StoreWorker &reader = store.registerWorker();
+    const uint64_t keys[2] = {store.keyForShard(0, 0),
+                              store.keyForShard(1, 1)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(writer, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+
+    LockstepClient client;
+    TxnOutcome outcome = TxnOutcome::kDeadlineExceeded;
+    std::thread rmw([&] {
+        setSchedClient(&client);
+        outcome = store.multiRmw(writer, {keys[0], keys[1]}, 1);
+        setSchedClient(nullptr);
+        client.finish();
+    });
+
+    StoreOpts opts;
+    opts.deadline = std::chrono::seconds(5); // A hang fails, not stalls.
+    auto read = [&](uint64_t key) {
+        uint64_t v = 0;
+        bool found = false;
+        EXPECT_EQ(store.get(reader, key, v, found, opts),
+                  TxnOutcome::kCommitted);
+        return v;
+    };
+    unsigned steps = 0;
+    bool sawNew = false;
+    for (;;) {
+        const bool finished = client.awaitStep();
+        for (unsigned first = 0; first < 2; ++first) {
+            if (read(keys[first]) != kSeedValue + 1)
+                continue;
+            sawNew = true;
+            EXPECT_EQ(read(keys[1 - first]), kSeedValue + 1)
+                << "shard " << first << " showed the RMW, shard "
+                << 1 - first << " did not (step " << steps << ")";
+        }
+        if (finished)
+            break;
+        ++steps;
+        client.resume();
+    }
+    rmw.join();
+    EXPECT_EQ(outcome, TxnOutcome::kCommitted);
+    EXPECT_TRUE(sawNew);
+    EXPECT_GT(steps, 4u) << "the commit must be observed step by step";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ClockEngine, StoreFamilyBTest,
+    ::testing::Values(AlgoKind::kHybridNOrec, AlgoKind::kHybridNOrecLazy,
+                      AlgoKind::kRhNOrec),
     [](const ::testing::TestParamInfo<AlgoKind> &info) {
         std::string name = algoKindName(info.param);
         for (char &c : name)
