@@ -15,8 +15,10 @@
  * The plain cells run the library defaults, which inject no HTM
  * aborts. The `Calibrated` arms run the bench harness's BenchConfig
  * instead (interrupt-abort probability 5e-4 per access), so every
- * simulated-HTM access also rolls the fault injector's dice, and
- * BM_FaultFire times that roll on its own.
+ * simulated-HTM access also rolls the fault injector's dice: one
+ * inline RNG step and compare, since each of those sites holds a lone
+ * every-hit rule. BM_FaultFire times that roll on its own, next to an
+ * unruled site and a site whose rules take the out-of-line walk.
  */
 
 #include <benchmark/benchmark.h>
@@ -122,16 +124,29 @@ BM_RbTreeGetCalibrated(benchmark::State &state)
 /**
  * One FaultInjector::fire() call under the plan HtmTxn builds from the
  * calibrated randomAbortProb (p = 5e-4 on tx-read, tx-write and
- * pre-commit). range(0) = 1 fires tx-read (a site with that rule);
- * range(0) = 0 fires publish-window (a site with no rule).
+ * pre-commit). range(0) = 1 fires tx-read, whose lone every-hit rule
+ * fire() rolls inline; range(0) = 0 fires publish-window (a site with
+ * no rule); range(0) = 2 fires prefix-commit, which carries an extra
+ * period-7 rule with the same probability and so takes the rule walk.
  */
 void
 BM_FaultFire(benchmark::State &state)
 {
-    FaultInjector inj(
-        interruptAbortPlan(calibratedConfig().htm.randomAbortProb, 1), 0);
-    const FaultSite site = state.range(0) != 0 ? FaultSite::kTxRead
-                                               : FaultSite::kPublishWindow;
+    const double p = calibratedConfig().htm.randomAbortProb;
+    FaultPlan plan = interruptAbortPlan(p, 1);
+    FaultSite site = FaultSite::kPublishWindow;
+    if (state.range(0) == 1) {
+        site = FaultSite::kTxRead;
+    } else if (state.range(0) == 2) {
+        site = FaultSite::kPrefixCommit;
+        FaultRule walked;
+        walked.site = site;
+        walked.kind = FaultKind::kAbortOther;
+        walked.period = 7;
+        walked.probability = p;
+        plan.add(walked);
+    }
+    FaultInjector inj(plan, 0);
     for (auto _ : state)
         benchmark::DoNotOptimize(inj.fire(site));
     state.counters["fires"] = static_cast<double>(inj.totalFires());
@@ -267,7 +282,7 @@ BENCHMARK(BM_ReadOnlyScan)->Apply(addAllAlgos);
 BENCHMARK(BM_RbTreeGet)->Apply(addAllAlgos);
 BENCHMARK(BM_ReadOnlyScanCalibrated)->Apply(addAllAlgos);
 BENCHMARK(BM_RbTreeGetCalibrated)->Apply(addAllAlgos);
-BENCHMARK(BM_FaultFire)->ArgName("ruled")->Arg(1)->Arg(0);
+BENCHMARK(BM_FaultFire)->ArgName("ruled")->Arg(1)->Arg(0)->Arg(2);
 
 BENCHMARK(BM_ReadOwnWrites)
     ->ArgName("algo")

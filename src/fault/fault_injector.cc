@@ -93,6 +93,18 @@ FaultInjector::FaultInjector(const FaultPlan &plan, unsigned tid)
         sites_[static_cast<unsigned>(rule.site)].push_back(rs);
         ruledSites_ |= uint32_t(1) << static_cast<unsigned>(rule.site);
     }
+    // A lone rule that matches every hit and is never capped reduces
+    // the walk to one draw and one compare: fire() does those inline.
+    for (unsigned idx = 0; idx < kNumFaultSites; ++idx) {
+        if (sites_[idx].size() != 1)
+            continue;
+        const RuleState &rs = sites_[idx].front();
+        if (rs.draws && rs.rule.firstHit == 1 && rs.rule.period == 1 &&
+            rs.rule.maxFires == ~uint64_t(0)) {
+            drawSites_ |= uint32_t(1) << idx;
+            drawThreshold_[idx] = rs.threshold;
+        }
+    }
 }
 
 void
@@ -114,7 +126,6 @@ FaultInjector::resetForTest()
 FaultKind
 FaultInjector::fireRuled(unsigned idx, uint64_t hit, uint32_t *delay_spins)
 {
-    const FaultSite site = static_cast<FaultSite>(idx);
     for (RuleState &rs : sites_[idx]) {
         const FaultRule &r = rs.rule;
         if (rs.fired >= r.maxFires || hit < r.firstHit)
@@ -127,28 +138,37 @@ FaultInjector::fireRuled(unsigned idx, uint64_t hit, uint32_t *delay_spins)
         }
         if (rs.draws && rng_.next() >= rs.threshold)
             continue;
-
-        ++rs.fired;
-        ++fires_[idx];
-        ++totalFires_;
-        if (recordTrace_)
-            trace_.push_back(FaultEvent{site, r.kind, hit});
-
-        if (r.kind == FaultKind::kCapacitySqueeze) {
-            const uint64_t begins =
-                hits_[static_cast<unsigned>(FaultSite::kHtmBegin)];
-            squeezeRead_ = r.squeezeReadLines;
-            squeezeWrite_ = r.squeezeWriteLines;
-            squeezeUntil_ = r.squeezeTxns == 0
-                ? ~uint64_t(0)
-                : begins + r.squeezeTxns;
-            continue; // A squeeze arms state; nothing unwinds here.
-        }
-        if (r.kind == FaultKind::kDelay && delay_spins != nullptr)
-            *delay_spins = r.delaySpins;
-        return r.kind;
+        const FaultKind kind = fireRule(rs, idx, hit, delay_spins);
+        if (kind != FaultKind::kNone)
+            return kind;
     }
     return FaultKind::kNone;
+}
+
+FaultKind
+FaultInjector::fireRule(RuleState &rs, unsigned idx, uint64_t hit,
+                        uint32_t *delay_spins)
+{
+    const FaultRule &r = rs.rule;
+    ++rs.fired;
+    ++fires_[idx];
+    ++totalFires_;
+    if (recordTrace_)
+        trace_.push_back(
+            FaultEvent{static_cast<FaultSite>(idx), r.kind, hit});
+
+    if (r.kind == FaultKind::kCapacitySqueeze) {
+        const uint64_t begins =
+            hits_[static_cast<unsigned>(FaultSite::kHtmBegin)];
+        squeezeRead_ = r.squeezeReadLines;
+        squeezeWrite_ = r.squeezeWriteLines;
+        squeezeUntil_ = r.squeezeTxns == 0 ? ~uint64_t(0)
+                                           : begins + r.squeezeTxns;
+        return FaultKind::kNone; // A squeeze arms state; nothing unwinds.
+    }
+    if (r.kind == FaultKind::kDelay && delay_spins != nullptr)
+        *delay_spins = r.delaySpins;
+    return r.kind;
 }
 
 } // namespace rhtm

@@ -19,8 +19,11 @@
  * Cost: the plan is compiled once, at construction, into one rule
  * list per site with each probability pre-scaled to a 2^64 threshold,
  * so a hit walks only its own site's rules and does no floating-point
- * work. HtmTxn fires a site on every simulated-HTM access, which makes
- * this the calibrated interrupt-abort model's per-access price.
+ * work. HtmTxn fires a site on every simulated-HTM access. A site
+ * whose only rule draws on every hit (the interrupt-abort model's
+ * shape) skips the walk: fire() counts the hit, draws once and
+ * compares inline, and calls out of line only when the draw fires.
+ * The RNG is drawn at the same hits in the same order either way.
  */
 
 #ifndef RHTM_FAULT_FAULT_INJECTOR_H
@@ -202,15 +205,23 @@ class FaultInjector
      * (kNone almost always). Delay/yield kinds carry their parameters;
      * abort kinds are executed by the caller (HtmTxn/session), which
      * owns the unwind and the statistics. A site with no compiled rule
-     * only counts the hit, inline; the rule walk is out of line.
+     * only counts the hit, and an every-hit draw site also draws and
+     * compares, both inline; the rule walk and a firing's bookkeeping
+     * are out of line.
      */
     FaultKind
     fire(FaultSite site, uint32_t *delay_spins = nullptr)
     {
         const unsigned idx = static_cast<unsigned>(site);
         const uint64_t hit = ++hits_[idx];
-        if ((ruledSites_ >> idx & 1u) == 0)
+        const uint32_t bit = uint32_t(1) << idx;
+        if ((ruledSites_ & bit) == 0)
             return FaultKind::kNone;
+        if ((drawSites_ & bit) != 0) {
+            if (rng_.next() >= drawThreshold_[idx])
+                return FaultKind::kNone;
+            return fireRule(sites_[idx].front(), idx, hit, delay_spins);
+        }
         return fireRuled(idx, hit, delay_spins);
     }
 
@@ -286,6 +297,14 @@ class FaultInjector
         uint64_t fired = 0;
     };
 
+    /**
+     * Book a matched rule's firing (counts, trace, squeeze state) and
+     * return what the caller applies: the rule's kind, or kNone for a
+     * squeeze, which only arms state.
+     */
+    FaultKind fireRule(RuleState &rs, unsigned idx, uint64_t hit,
+                       uint32_t *delay_spins);
+
     unsigned tid_;
     uint64_t seed_; //!< Plan base seed, kept for resetForTest.
     Rng rng_;
@@ -298,6 +317,13 @@ class FaultInjector
     std::array<std::vector<RuleState>, kNumFaultSites> sites_;
     /** Bit i set iff sites_[i] is non-empty (fire()'s inline test). */
     uint32_t ruledSites_ = 0;
+    /**
+     * Bit i set iff sites_[i] is one rule that draws on every hit
+     * (firstHit 1, period 1, no fire cap): fire() rolls it inline
+     * against drawThreshold_[i], which equals the rule's threshold.
+     */
+    uint32_t drawSites_ = 0;
+    std::array<uint64_t, kNumFaultSites> drawThreshold_{};
     std::array<uint64_t, kNumFaultSites> hits_{};
     std::array<uint64_t, kNumFaultSites> fires_{};
     uint64_t totalFires_ = 0;

@@ -110,12 +110,9 @@ HtmTxn::fail(HtmAbortCause cause, bool retry_ok, uint8_t code,
 }
 
 void
-HtmTxn::faultPoint(FaultSite site)
+HtmTxn::applyFault(FaultKind kind, uint32_t spins)
 {
-    if (fault_ == nullptr)
-        return;
-    uint32_t spins = 0;
-    switch (fault_->fire(site, &spins)) {
+    switch (kind) {
       case FaultKind::kNone:
       case FaultKind::kCapacitySqueeze:
         return;

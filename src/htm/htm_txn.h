@@ -162,8 +162,24 @@ class HtmTxn
      */
     uint64_t readAcrossPublication(const uint64_t *addr);
 
-    /** Hit @p site on the injector and act on the scripted fault. */
-    void faultPoint(FaultSite site);
+    /**
+     * Hit @p site on the injector and act on the scripted fault. Inline
+     * because it runs on every simulated-HTM access; a real fault goes
+     * out of line to applyFault().
+     */
+    void
+    faultPoint(FaultSite site)
+    {
+        if (fault_ == nullptr)
+            return;
+        uint32_t spins = 0;
+        const FaultKind kind = fault_->fire(site, &spins);
+        if (kind != FaultKind::kNone)
+            applyFault(kind, spins);
+    }
+
+    /** faultPoint()'s action for a fault other than kNone. */
+    void applyFault(FaultKind kind, uint32_t spins);
 
     /** Reset tracking state to idle. */
     void resetState();

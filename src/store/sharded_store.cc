@@ -57,6 +57,10 @@ ShardedStore::ShardedStore(StoreConfig cfg) : cfg_(std::move(cfg))
         cfg_.shards = 1;
     shards_.reserve(cfg_.shards);
     data_.reserve(cfg_.shards);
+    // Shards are built one after another, and each TmRuntime's domain
+    // takes its id from a monotonic counter, so domain ids ascend with
+    // the shard index. runCross relies on this: shard order is the
+    // cross-shard lock acquisition order.
     for (unsigned s = 0; s < cfg_.shards; ++s) {
         RuntimeConfig rc = cfg_.runtime;
         // Decorrelate per-shard RNG streams (contention managers,
@@ -258,7 +262,9 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
     const std::vector<std::pair<unsigned, uint64_t>> &byShard =
         w.rmwByShard_;
     // Involved shards, ordered by domain id (= lock acquisition and
-    // freeze order).
+    // freeze order). byShard is sorted by shard index, and domain ids
+    // ascend with the shard index (see the constructor), so the shards
+    // come out in domain order as they are deduplicated.
     std::vector<std::pair<CrossShardPart *, unsigned>> &order =
         w.crossOrder_;
     order.clear();
@@ -267,10 +273,6 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
         if (order.empty() || order.back().second != s)
             order.emplace_back(w.parts_[s].get(), s);
     }
-    std::sort(order.begin(), order.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first->domainId() < b.first->domainId();
-              });
     std::vector<DomainCommitPart *> &parts = w.crossParts_;
     parts.clear();
     for (const auto &[p, s] : order) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 
 #include "src/fault/fault_injector.h"
 #include "src/fault/schedules.h"
@@ -431,6 +432,142 @@ TEST(FaultInjectorTest, CompiledPlanMatchesReferenceOnRandomPlans)
             EXPECT_EQ(inj.trace()[i].hit, ref.trace()[i].hit);
         }
         fired += ref.totalFires();
+    }
+    EXPECT_GT(fired, 0u);
+}
+
+/** A lone every-hit draw rule: the shape fire() rolls inline. */
+FaultRule
+everyHitDrawRule(FaultSite site, FaultKind kind, double probability)
+{
+    FaultRule r;
+    r.site = site;
+    r.kind = kind;
+    r.period = 1;
+    r.probability = probability;
+    r.delaySpins = 7;
+    return r;
+}
+
+/**
+ * A plan that mixes inline and walked sites on one RNG: each of six
+ * sites carries either a lone every-hit draw rule (p 5e-4 or 0.3;
+ * abort, delay or yield), or rules that take the walk -- a positional
+ * one-shot, a capped or periodic draw, a capacity squeeze, or two
+ * every-hit draw rules on the same site. A draw site may also carry a
+ * rule for another thread, which the tid filter drops.
+ */
+FaultPlan
+inlineDrawPlan(Rng &rng, unsigned tid)
+{
+    static const FaultSite kSites[] = {
+        FaultSite::kHtmBegin, FaultSite::kTxRead, FaultSite::kTxWrite,
+        FaultSite::kPreCommit, FaultSite::kPublishWindow,
+        FaultSite::kPrefixCommit};
+    static const FaultKind kDrawKinds[] = {
+        FaultKind::kAbortOther, FaultKind::kAbortConflict,
+        FaultKind::kDelay, FaultKind::kYield};
+    static const double kDrawProbs[] = {5e-4, 0.3};
+    FaultPlan plan;
+    plan.seed = rng.next();
+    plan.recordTrace = true;
+    // Every plan has at least one site on each path.
+    const size_t n = std::size(kSites);
+    const size_t forcedDraw = rng.nextBounded(n);
+    const size_t forcedWalk = (forcedDraw + rng.nextRange(1, n - 1)) % n;
+    for (size_t i = 0; i < n; ++i) {
+        const FaultSite site = kSites[i];
+        const FaultKind kind = kDrawKinds[rng.nextBounded(4)];
+        const double p = kDrawProbs[rng.nextBounded(2)];
+        if (i == forcedDraw || (i != forcedWalk && rng.nextPercent(50))) {
+            plan.add(everyHitDrawRule(site, kind, p));
+            if (rng.nextPercent(30)) {
+                FaultRule other = abortRule(site, 1, 1);
+                other.tid = static_cast<int>(tid) + 1;
+                plan.add(other);
+            }
+            continue;
+        }
+        FaultRule r = everyHitDrawRule(site, kind, p);
+        switch (rng.nextBounded(5)) {
+          case 0: // Positional one-shot.
+            r.period = 0;
+            r.firstHit = rng.nextRange(1, 50);
+            r.probability = 1.0;
+            break;
+          case 1: // Every-hit draw, but capped.
+            r.maxFires = rng.nextRange(1, 5);
+            break;
+          case 2: // Periodic draw from a later first hit.
+            r.firstHit = rng.nextRange(1, 20);
+            r.period = rng.nextRange(2, 7);
+            break;
+          case 3: // Capacity squeeze every few hits.
+            r.kind = FaultKind::kCapacitySqueeze;
+            r.period = rng.nextRange(2, 7);
+            r.squeezeReadLines = rng.nextRange(1, 64);
+            r.squeezeWriteLines = rng.nextRange(1, 64);
+            r.squeezeTxns = rng.nextBounded(4);
+            break;
+          default: // A second every-hit draw rule on the same site.
+            plan.add(r);
+            r.kind = kDrawKinds[rng.nextBounded(4)];
+            r.probability = kDrawProbs[rng.nextBounded(2)];
+            break;
+        }
+        plan.add(r);
+    }
+    return plan;
+}
+
+TEST(FaultInjectorTest, InlineDrawPathMatchesReference)
+{
+    // fire() rolls a lone every-hit draw rule inline and walks every
+    // other site; both share the RNG, so the two paths must interleave
+    // their draws exactly as the reference does. The second pass runs
+    // after resetForTest and must replay the first hit for hit.
+    Rng rng(4242);
+    constexpr unsigned kPlans = 8;
+    constexpr unsigned kHitsPerPlan = 100000;
+    uint64_t fired = 0;
+    for (unsigned p = 0; p < kPlans; ++p) {
+        const unsigned tid = static_cast<unsigned>(rng.nextBounded(2));
+        const FaultPlan plan = inlineDrawPlan(rng, tid);
+        const uint64_t siteSeed = rng.next();
+        FaultInjector inj(plan, tid);
+        for (unsigned pass = 0; pass < 2; ++pass) {
+            ReferenceInjector ref(plan, tid);
+            Rng sites(siteSeed);
+            for (unsigned h = 0; h < kHitsPerPlan; ++h) {
+                const auto site =
+                    static_cast<FaultSite>(sites.nextBounded(6));
+                uint32_t gotSpins = 0, wantSpins = 0;
+                const FaultKind got = inj.fire(site, &gotSpins);
+                const FaultKind want = ref.fire(site, &wantSpins);
+                ASSERT_EQ(got, want)
+                    << "plan " << p << " pass " << pass << " hit " << h;
+                ASSERT_EQ(gotSpins, wantSpins)
+                    << "plan " << p << " pass " << pass << " hit " << h;
+                ASSERT_EQ(inj.readCapLimit(100), ref.readCapLimit(100));
+                ASSERT_EQ(inj.writeCapLimit(100), ref.writeCapLimit(100));
+            }
+            for (unsigned s = 0; s < kNumFaultSites; ++s) {
+                const auto site = static_cast<FaultSite>(s);
+                ASSERT_EQ(inj.hits(site), ref.hits(site))
+                    << "plan " << p << " pass " << pass;
+                ASSERT_EQ(inj.fires(site), ref.fires(site))
+                    << "plan " << p << " pass " << pass;
+            }
+            ASSERT_EQ(inj.totalFires(), ref.totalFires());
+            ASSERT_EQ(inj.trace().size(), ref.trace().size());
+            for (size_t i = 0; i < ref.trace().size(); ++i) {
+                ASSERT_EQ(inj.trace()[i].site, ref.trace()[i].site);
+                ASSERT_EQ(inj.trace()[i].kind, ref.trace()[i].kind);
+                ASSERT_EQ(inj.trace()[i].hit, ref.trace()[i].hit);
+            }
+            fired += ref.totalFires();
+            inj.resetForTest();
+        }
     }
     EXPECT_GT(fired, 0u);
 }

@@ -668,6 +668,21 @@ TEST(ShardedStoreTest, HashPartitionCoversAllShards)
         EXPECT_EQ(store.shardOf(store.keyForShard(s, 9)), s);
 }
 
+// A cross-shard commit locks its shards in shard-index order and
+// relies on that being ascending domain-id order (the global lock
+// order) without sorting; a second store's domains must ascend too.
+TEST(ShardedStoreTest, DomainIdsAscendWithShardIndex)
+{
+    ShardedStore first(configFor(AlgoKind::kRhNOrec, 8));
+    ShardedStore second(configFor(AlgoKind::kNOrec, 3));
+    for (ShardedStore *store : {&first, &second}) {
+        for (unsigned s = 1; s < store->shardCount(); ++s)
+            EXPECT_LT(store->shardRuntime(s - 1).domain().id(),
+                      store->shardRuntime(s).domain().id())
+                << "shard " << s;
+    }
+}
+
 class StoreBucketSpreadTest : public ::testing::TestWithParam<unsigned>
 {
 };

@@ -2,8 +2,9 @@
 # One-stop CI gate: the include-layering lint, the tier-1 build + test
 # suite, the interleaving-explorer `check` leg (docs/CHECKING.md), the
 # crash-recovery sweep with its reverted-fix regression, an ASan leg
-# over recovery replay (docs/PERSISTENCE.md), the HTM tracking tables
-# and the store's slot-pointer scan index, and a single ThreadSanitizer chaos leg as a concurrency
+# over recovery replay (docs/PERSISTENCE.md), the HTM tracking tables,
+# the store's slot-pointer scan index and the fault injector's per-site
+# tables, and a single ThreadSanitizer chaos leg as a concurrency
 # smoke check plus a live stats() poll and the HTM and store unit
 # tests under the sanitizer (the full sanitizer soak matrix lives in
 # tools/run_chaos.sh).
@@ -98,8 +99,8 @@ echo "== overload: full sweep -> BENCH_ci.json, diff vs prior =="
 # line up and only genuine latency/counter drift trips the diff.
 build/bench/bench_adversary --threads=2,8 --algos=all --ops=150 \
     --admission=both --seed=1 --json=build/BENCH_ci.json
-# Compare against the newest committed BENCH_*.json; incomparable
-# bench families (crash vs adversary) diff as a no-op by design.
+# Compare against the newest committed BENCH_*.json of the same bench
+# family (adversary); captures of other families are skipped.
 cp build/BENCH_ci.json BENCH_ci_tmp.json
 python3 tools/diff_bench.py BENCH_ci_tmp.json
 rm -f BENCH_ci_tmp.json
@@ -140,19 +141,22 @@ if build/bench/bench_crash --threads=2 --algos=norec,rh-tl2 \
     exit 1
 fi
 
-echo "== ASan leg: recovery replay, HTM tracking tables, store scan index =="
+echo "== ASan leg: recovery replay, HTM tracking tables, store scan index, fault sites =="
 # The HTM tracking tables reallocate their slots as they grow, so a
 # slot reference held across a growth is a use-after-free ASan sees;
 # htm_tests and core_tests drive them directly and through every
 # AlgoKind. The store's scan index holds pointers to hash-map value
 # words (docs/STORE.md "Index discipline"), so a stale slot is a heap
-# error too; structures_tests and store_tests cover it. The store's
-# concurrent history check is left out here because it can hang
-# (ROADMAP item 1); tier-1 still runs it.
+# error too; structures_tests and store_tests cover it. The fault
+# injector's per-site tables (rule lists, inline draw thresholds) are
+# indexed by site, and fault_tests drives every path through them.
+# The store's concurrent history check is left out here because it
+# can hang (ROADMAP item 3); tier-1 still runs it.
 cmake -B build-asan -S . -DRHTM_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$(nproc)" \
     --target bench_crash persist_tests htm_tests core_tests \
-    structures_tests store_tests
+    structures_tests store_tests fault_tests
+build-asan/tests/fault_tests
 build-asan/tests/persist_tests
 build-asan/tests/htm_tests
 build-asan/tests/core_tests
@@ -186,7 +190,7 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     # sequence (value-then-seq ordering), and a cross-shard commit
     # nests several engines' publish mutexes in one joint window. The
     # store's concurrent history check is left out, as in the ASan
-    # leg, because it can hang (ROADMAP item 1).
+    # leg, because it can hang (ROADMAP item 3).
     build-tsan/tests/htm_tests
     build-tsan/tests/store_tests \
         --gtest_filter='-*ConcurrentHistoriesAreStrictlySerializable*'

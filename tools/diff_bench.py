@@ -4,16 +4,17 @@
 Usage: tools/diff_bench.py NEW.json [--baseline=OLD.json]
                            [--band=0.35] [--strict]
 
-Each PR in the sequence leaves a BENCH_<n>.json at the repo root; this
-tool keeps the sequence honest by comparing the new capture against
-the newest prior one. Without --baseline it picks the BENCH_*.json
-with the highest numeric suffix below the new capture's own (falling
-back to the newest by suffix that is not the new file itself).
-
-Two captures are only comparable when their top-level "bench" family
-matches; the sequence legitimately changes bench families between PRs
-(crash sweep, adversary sweep, ...), so an incomparable baseline is
-reported and exits 0 -- there is nothing to diff, not a regression.
+Captures accumulate as BENCH_<n>.json files at the repo root; this
+tool keeps the sequence honest by comparing a new capture against the
+newest prior one of the same kind. Two captures are only comparable
+when their top-level "bench" family matches (crash sweep, adversary
+sweep, store sweep, ...), and the families interleave, so without
+--baseline it picks, among the BENCH_*.json files of the new capture's
+family, the one with the highest numeric suffix below the new
+capture's own (any suffix when the new file has none). When no
+capture of that family exists, or an explicit --baseline belongs to
+another family, it says so and exits 0: there is nothing to diff,
+which is not a regression.
 
 Comparable captures are joined cell-by-cell on their identity fields
 (every non-numeric field plus thread count). Shared numeric metrics
@@ -56,8 +57,12 @@ def cell_key(cell):
     return tuple(key)
 
 
-def pick_baseline(new_path):
-    """Newest BENCH_*.json (by numeric suffix) that is not new_path."""
+def pick_baseline(new_path, family):
+    """Newest BENCH_*.json of bench family `family`, not new_path.
+
+    "Newest" is the highest numeric suffix, below new_path's own when
+    it has one. Files that do not parse are skipped.
+    """
     root = os.path.dirname(os.path.abspath(new_path)) or "."
     new_suffix = suffix_of(new_path)
     best, best_n = None, -1
@@ -65,11 +70,16 @@ def pick_baseline(new_path):
         if os.path.abspath(cand) == os.path.abspath(new_path):
             continue
         n = suffix_of(cand)
-        if n is None:
+        if n is None or n <= best_n:
             continue
         if new_suffix is not None and n >= new_suffix:
             continue
-        if n > best_n:
+        try:
+            with open(cand) as f:
+                cand_family = json.load(f).get("bench")
+        except (OSError, ValueError, AttributeError):
+            continue
+        if cand_family == family:
             best, best_n = cand, n
     return best
 
@@ -130,15 +140,14 @@ def main():
         print(__doc__.strip().splitlines()[2].strip())
         return 2
 
-    if baseline is None:
-        baseline = pick_baseline(new_path)
-    if baseline is None:
-        print(f"diff_bench: no prior BENCH_*.json to compare "
-              f"{new_path} against; nothing to diff")
-        return 0
-
     with open(new_path) as f:
         new = json.load(f)
+    if baseline is None:
+        baseline = pick_baseline(new_path, new.get("bench"))
+    if baseline is None:
+        print(f"diff_bench: no prior '{new.get('bench')}' BENCH_*.json "
+              f"to compare {new_path} against; nothing to diff")
+        return 0
     with open(baseline) as f:
         old = json.load(f)
 
