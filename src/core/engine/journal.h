@@ -283,6 +283,15 @@ class ValueReadLog
 
     size_t size() const { return log_.size(); }
 
+    /** Visit each logged address, in read order. */
+    template <typename Fn>
+    void
+    forEach(Fn fn) const
+    {
+        for (const ReadEntry &e : log_)
+            fn(e.addr);
+    }
+
     /** True when every logged location still holds its logged value. */
     template <typename Mem>
     bool

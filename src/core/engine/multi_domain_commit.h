@@ -13,10 +13,12 @@
  * The protocol is the classic ordered two-phase commit, instantiated
  * with NOrec-style value validation:
  *
- *   1. Sort participants by ascending TmDomain id. Domain ids are
- *      process-unique and never reused (domain.h), so every
- *      cross-domain committer acquires in the same global order and
- *      the protocol cannot deadlock against other cross committers.
+ *   1. The caller hands participants in ascending TmDomain id order
+ *      (the store's shards are built in that order, so it never
+ *      sorts). Domain ids are process-unique and never reused
+ *      (domain.h), so every cross-domain committer acquires in the
+ *      same global order and the protocol cannot deadlock against
+ *      other cross committers.
  *      Single-domain (native) committers never *block* on a commit
  *      lock while holding another -- they restart or time out -- so
  *      they cannot complete a cycle either.
@@ -50,6 +52,7 @@
 #define RHTM_CORE_ENGINE_MULTI_DOMAIN_COMMIT_H
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -93,16 +96,6 @@ class DomainCommitPart
     virtual void releaseRestore() = 0;
 };
 
-/** Sort participants into the global acquisition order. */
-inline void
-sortByDomain(std::vector<DomainCommitPart *> &parts)
-{
-    std::sort(parts.begin(), parts.end(),
-              [](const DomainCommitPart *a, const DomainCommitPart *b) {
-                  return a->domainId() < b->domainId();
-              });
-}
-
 /**
  * Step 3 on its own: publish every participant in one joint window.
  * Also the whole publication of a caller whose participants are
@@ -118,14 +111,19 @@ publishJointly(std::vector<DomainCommitPart *> &parts)
 }
 
 /**
- * Run the ordered two-phase commit over `parts` (must already be
- * sorted by ascending domain id -- see sortByDomain). Returns true on
- * commit; on false every domain is back to its pre-attempt state and
- * the caller restarts or escalates.
+ * Run the ordered two-phase commit over `parts`. Precondition: `parts`
+ * is in strictly ascending domain-id order (step 1; asserted in debug
+ * builds). Returns true on commit; on false every domain is back to
+ * its pre-attempt state and the caller restarts or escalates.
  */
 inline bool
 multiDomainCommit(std::vector<DomainCommitPart *> &parts)
 {
+    assert(std::adjacent_find(parts.begin(), parts.end(),
+                              [](const DomainCommitPart *a,
+                                 const DomainCommitPart *b) {
+                                  return a->domainId() >= b->domainId();
+                              }) == parts.end());
     for (size_t i = 0; i < parts.size(); ++i) {
         if (!parts[i]->prepare()) {
             while (i-- > 0)

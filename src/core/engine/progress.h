@@ -34,7 +34,6 @@
 #include <thread>
 
 #include "src/core/engine/deadline.h"
-#include "src/core/engine/domain.h"
 #include "src/core/engine/globals.h"
 #include "src/core/engine/retry_policy.h"
 #include "src/htm/htm_engine.h"
@@ -71,15 +70,6 @@ class StallAwareWaiter
         : g_(g), policy_(policy), stats_(stats), epoch_(epoch),
           lastEpoch_(epoch.load(std::memory_order_relaxed)),
           deadline_(deadline)
-    {}
-
-    /** Domain-scoped spelling: waits inside domain `d` (the stall
-     *  gauges raised here belong to that shard alone). */
-    StallAwareWaiter(TmDomain &d, const RetryPolicy &policy,
-                     ThreadStats *stats,
-                     const std::atomic<uint64_t> &epoch,
-                     DeadlineState *deadline = nullptr)
-        : StallAwareWaiter(d.globals, policy, stats, epoch, deadline)
     {}
 
     ~StallAwareWaiter() { clearStall(); }
@@ -266,12 +256,6 @@ class ScopedHtmLock
         stampEpoch(g_.watchdog.clockEpoch);
     }
 
-    /** Domain-scoped spelling: lock out shard `d`'s hardware paths. */
-    ScopedHtmLock(HtmEngine &eng, TmDomain &d, const RetryPolicy &policy,
-                  ThreadStats *stats, DeadlineState *deadline = nullptr)
-        : ScopedHtmLock(eng, d.globals, policy, stats, deadline)
-    {}
-
     ~ScopedHtmLock() { release(); }
 
     ScopedHtmLock(const ScopedHtmLock &) = delete;
@@ -321,32 +305,6 @@ stableClockRead(HtmEngine &eng, TmGlobals &g,
         clock = eng.directLoad(&g.clock);
     } while (clockIsLocked(clock));
     return clock;
-}
-
-// ---------------------------------------------------------------------
-// Domain-scoped spellings. A multi-domain caller (the cross-shard
-// commit, the store's escalation path) names the shard it is waiting
-// inside; these forward to the TmGlobals forms so single-domain
-// sessions keep their existing call sites.
-
-inline void
-serialLockAcquire(HtmEngine &eng, TmDomain &d, const RetryPolicy &policy,
-                  ThreadStats *stats, DeadlineState *deadline = nullptr)
-{
-    serialLockAcquire(eng, d.globals, policy, stats, deadline);
-}
-
-inline void
-serialLockRelease(HtmEngine &eng, TmDomain &d)
-{
-    serialLockRelease(eng, d.globals);
-}
-
-inline uint64_t
-stableClockRead(HtmEngine &eng, TmDomain &d, const RetryPolicy &policy,
-                ThreadStats *stats, DeadlineState *deadline = nullptr)
-{
-    return stableClockRead(eng, d.globals, policy, stats, deadline);
 }
 
 } // namespace rhtm

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "src/core/engine/globals.h"
-#include "src/core/engine/mem_access.h"
 
 namespace rhtm
 {
@@ -25,11 +24,10 @@ constexpr unsigned kYieldEvery = 32;
 void
 spinPause(unsigned iter)
 {
+    schedWaitPoint(SchedPoint::kWaitSpin);
     if (iter % kYieldEvery == kYieldEvery - 1)
         std::this_thread::yield();
 }
-
-} // namespace
 
 CrossFamily
 crossFamilyOf(AlgoKind kind)
@@ -52,6 +50,12 @@ crossFamilyOf(AlgoKind kind)
     std::abort();
 }
 
+/** Initial write-buffer index: 16 slots; a cross body writes few words
+ *  per shard, and the buffer grows past that. */
+constexpr unsigned kWriteIndexLog2 = 4;
+
+} // namespace
+
 const TxDispatch CrossShardPart::kDispatch = {
     &CrossShardPart::readDispatchFn, &CrossShardPart::writeDispatchFn};
 
@@ -59,7 +63,10 @@ CrossShardPart::CrossShardPart(TmRuntime &rt, ThreadCtx &ctx,
                                unsigned ownerId)
     : rt_(rt), ctx_(ctx), eng_(rt.engine()), g_(rt.globals()),
       tl2_(rt.tl2Globals()), rhTl2_(rt.rhTl2Globals()),
-      family_(crossFamilyOf(rt.kind())), ownerId_(ownerId)
+      family_(crossFamilyOf(rt.kind())), ownerId_(ownerId),
+      engine_(eng_), rawClock_(raw_, &g_.clock),
+      engineClock_(engine_, &g_.clock, &g_.watchdog.clockEpoch),
+      writes_(kWriteIndexLog2)
 {
     bindDispatch(kDispatch, this);
 }
@@ -69,7 +76,7 @@ CrossShardPart::readDispatchFn(void *self, const uint64_t *addr)
 {
     auto *p = static_cast<CrossShardPart *>(self);
     uint64_t buffered;
-    if (p->bufferedValue(addr, buffered))
+    if (p->writes_.lookup(addr, buffered))
         return buffered;
     return p->escalated_ ? p->readEscalated(addr) : p->readWord(addr);
 }
@@ -78,95 +85,58 @@ void
 CrossShardPart::writeDispatchFn(void *self, uint64_t *addr,
                                 uint64_t value)
 {
-    static_cast<CrossShardPart *>(self)->bufferWrite(addr, value);
+    static_cast<CrossShardPart *>(self)->writes_.putGrowing(addr, value);
 }
 
-bool
-CrossShardPart::bufferedValue(const uint64_t *addr, uint64_t &out) const
+template <typename Mem>
+uint64_t
+CrossShardPart::clockRead(const Mem &mem, const uint64_t *addr)
 {
-    // Linear scan, newest-first so a rewrite of the same word wins.
-    for (auto it = writes_.rbegin(); it != writes_.rend(); ++it) {
-        if (it->first == addr) {
-            out = it->second;
-            return true;
+    // NOrec clock sandwich: every software commit moves the clock, so
+    // a stable unlocked pair brackets a committed value. (Silent
+    // fallback-free HTM commits in family B can slip between the clock
+    // reads, but each is atomic, so v is still some committed value;
+    // prepare's value revalidation closes the cross-snapshot gap.)
+    for (unsigned i = 0; i < kReadSpins; ++i) {
+        uint64_t c1 = mem.load(&g_.clock);
+        if (!clockIsLocked(c1)) {
+            uint64_t v = mem.load(addr);
+            if (mem.load(&g_.clock) == c1) {
+                reads_.push(addr, v);
+                return v;
+            }
         }
+        spinPause(i);
     }
-    return false;
-}
-
-void
-CrossShardPart::bufferWrite(uint64_t *addr, uint64_t value)
-{
-    for (auto &w : writes_) {
-        if (w.first == addr) {
-            w.second = value;
-            return;
-        }
-    }
-    writes_.emplace_back(addr, value);
+    restart();
 }
 
 uint64_t
 CrossShardPart::readWord(const uint64_t *addr)
 {
-    RawMem raw;
     switch (family_) {
     case CrossFamily::kClockRaw:
-        // NOrec clock sandwich: every native commit moves the clock,
-        // so a stable unlocked pair brackets a committed value.
-        for (unsigned i = 0; i < kReadSpins; ++i) {
-            uint64_t c1 = raw.load(&g_.clock);
-            if (clockIsLocked(c1)) {
-                spinPause(i);
-                continue;
-            }
-            uint64_t v = raw.load(addr);
-            if (raw.load(&g_.clock) == c1) {
-                reads_.push_back({addr, v, 0});
-                return v;
-            }
-            spinPause(i);
-        }
-        restart();
+        return clockRead(raw_, addr);
     case CrossFamily::kClockEngine:
-        // Same sandwich through the engine. Silent fallback-free HTM
-        // commits can slip between the clock reads, but each such
-        // commit is atomic, so v is still some committed value; the
-        // cross-snapshot consistency gap is closed by prepare()'s
-        // value revalidation on the registered, clock-locked shard.
-        for (unsigned i = 0; i < kReadSpins; ++i) {
-            uint64_t c1 = eng_.directLoad(&g_.clock);
-            if (clockIsLocked(c1)) {
-                spinPause(i);
-                continue;
-            }
-            uint64_t v = eng_.directLoad(addr);
-            if (eng_.directLoad(&g_.clock) == c1) {
-                reads_.push_back({addr, v, 0});
-                return v;
-            }
-            spinPause(i);
-        }
-        restart();
+        return clockRead(engine_, addr);
     case CrossFamily::kGlobalLock:
         // Shard frozen since beginAttempt: direct reads, no log.
-        return eng_.directLoad(addr);
+        return engine_.load(addr);
     case CrossFamily::kTl2: {
         // Orec-stable sandwich. An unlocked, unmoved orec brackets a
         // committed in-place value (eager natives only dirty a word
         // while holding its orec).
-        size_t idx = tl2_->orecOf(addr);
+        std::atomic<uint64_t> &orec = tl2_->orec(tl2_->orecOf(addr));
         for (unsigned i = 0; i < kReadSpins; ++i) {
-            uint64_t o1 =
-                tl2_->orec(idx).load(std::memory_order_seq_cst);
-            if (Tl2Globals::isLocked(o1)) {
-                spinPause(i);
-                continue;
-            }
-            uint64_t v = raw.load(addr);
-            if (tl2_->orec(idx).load(std::memory_order_seq_cst) == o1) {
-                reads_.push_back({addr, v, idx});
-                return v;
+            schedPoint(SchedPoint::kRawLoad, &orec);
+            uint64_t o1 = orec.load(std::memory_order_seq_cst);
+            if (!Tl2Globals::isLocked(o1)) {
+                uint64_t v = raw_.load(addr);
+                schedPoint(SchedPoint::kRawLoad, &orec);
+                if (orec.load(std::memory_order_seq_cst) == o1) {
+                    reads_.push(addr, v);
+                    return v;
+                }
             }
             spinPause(i);
         }
@@ -179,13 +149,12 @@ CrossShardPart::readWord(const uint64_t *addr)
         // moved (or too-new) orec.
         uint64_t *orec = rhTl2_->orecOf(addr);
         for (unsigned i = 0; i < kReadSpins; ++i) {
-            uint64_t o1 = eng_.directLoad(orec);
+            uint64_t o1 = engine_.load(orec);
             if (o1 > snapshot_)
                 restart();
-            uint64_t v = eng_.directLoad(addr);
-            if (eng_.directLoad(orec) == o1) {
-                reads_.push_back(
-                    {addr, v, reinterpret_cast<uint64_t>(orec)});
+            uint64_t v = engine_.load(addr);
+            if (engine_.load(orec) == o1) {
+                reads_.push(addr, v);
                 return v;
             }
             spinPause(i);
@@ -205,17 +174,129 @@ CrossShardPart::readEscalated(const uint64_t *addr)
     // and committed state is only guaranteed under the word's orec, so
     // reads lock encounter-time (blocking 2PL; safe because only the
     // token holder may block on orecs).
-    if (family_ == CrossFamily::kTl2) {
-        RawMem raw;
+    switch (family_) {
+    case CrossFamily::kTl2:
         lockTl2Orec(tl2_->orecOf(addr), /*blocking=*/true,
                     /*written=*/false);
-        return raw.load(addr);
+        return raw_.load(addr);
+    case CrossFamily::kClockRaw:
+        return raw_.load(addr);
+    default:
+        return engine_.load(addr);
     }
-    if (family_ == CrossFamily::kClockRaw) {
-        RawMem raw;
-        return raw.load(addr);
+}
+
+template <typename Mem>
+bool
+CrossShardPart::lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
+                          bool blocking)
+{
+    // Family B: RH NOrec's own exclusion (Algorithm 1). With a
+    // fallback registered, every fast-path writer reads the clock at
+    // commit and aborts while it is locked, and every software writer
+    // needs the clock. Register first, then lock: a fast-path writer
+    // that saw fallbacks == 0 is doomed by the registration's store,
+    // so once the CAS lands no commit can reach the shard -- yet
+    // read-only hardware transactions, which touch neither word, run
+    // on.
+    if (family_ == CrossFamily::kClockEngine && !registered_) {
+        mem.fetchAdd(&g_.fallbacks, 1);
+        registered_ = true;
     }
-    return eng_.directLoad(addr);
+    for (unsigned i = 0; blocking || i < kPrepareSpins; ++i) {
+        uint64_t c = mem.load(&g_.clock);
+        if (!clockIsLocked(c) && seqlock.tryAcquireAt(c)) {
+            snapshot_ = c;
+            clockHeld_ = true;
+            return true;
+        }
+        spinPause(i);
+    }
+    unlockClock(mem, seqlock, false); // Drops only the registration.
+    return false;
+}
+
+template <typename Mem>
+void
+CrossShardPart::unlockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
+                            bool advance)
+{
+    // Clock first, registration last: the shard stays closed to
+    // fast-path writers until the clock is released.
+    if (clockHeld_) {
+        if (advance)
+            seqlock.releaseAdvance(snapshot_);
+        else
+            seqlock.releaseRestore(snapshot_);
+        clockHeld_ = false;
+    }
+    if (registered_) {
+        mem.fetchAdd(&g_.fallbacks, static_cast<uint64_t>(-1));
+        registered_ = false;
+    }
+}
+
+bool
+CrossShardPart::lockWord(uint64_t *word, bool blocking)
+{
+    for (unsigned i = 0; blocking || i < kPrepareSpins; ++i) {
+        uint64_t expected = 0;
+        if (engine_.cas(word, expected, 1)) {
+            heldWord_ = word;
+            stampEpoch(g_.watchdog.clockEpoch);
+            return true;
+        }
+        spinPause(i);
+    }
+    return false;
+}
+
+void
+CrossShardPart::unlockWord()
+{
+    if (heldWord_ == nullptr)
+        return;
+    engine_.store(heldWord_, 0);
+    heldWord_ = nullptr;
+    stampEpoch(g_.watchdog.clockEpoch);
+}
+
+bool
+CrossShardPart::lockShard(bool blocking)
+{
+    switch (family_) {
+    case CrossFamily::kClockRaw:
+        return lockClock(raw_, rawClock_, blocking);
+    case CrossFamily::kClockEngine:
+        return lockClock(engine_, engineClock_, blocking);
+    case CrossFamily::kGlobalLock:
+        return lockWord(&g_.globalLock, blocking);
+    case CrossFamily::kRhTl2:
+        return lockWord(&g_.htmLock, blocking);
+    case CrossFamily::kTl2:
+        break; // Orecs are locked per word (lockTl2Orec).
+    }
+    std::abort();
+}
+
+void
+CrossShardPart::unlockShard(bool published)
+{
+    switch (family_) {
+    case CrossFamily::kClockRaw:
+        unlockClock(raw_, rawClock_, published && wrote());
+        break;
+    case CrossFamily::kClockEngine:
+        unlockClock(engine_, engineClock_, published && wrote());
+        break;
+    case CrossFamily::kGlobalLock:
+    case CrossFamily::kRhTl2:
+        unlockWord();
+        break;
+    case CrossFamily::kTl2:
+        releaseTl2Owned(published);
+        break;
+    }
 }
 
 bool
@@ -228,12 +309,15 @@ CrossShardPart::lockTl2Orec(size_t idx, bool blocking, bool written)
         }
     }
     const uint64_t mine = Tl2Globals::lockFor(kCrossOwnerBase + ownerId_);
+    std::atomic<uint64_t> &orec = tl2_->orec(idx);
     for (unsigned i = 0;; ++i) {
-        uint64_t cur = tl2_->orec(idx).load(std::memory_order_seq_cst);
+        schedPoint(SchedPoint::kRawLoad, &orec);
+        uint64_t cur = orec.load(std::memory_order_seq_cst);
         if (!Tl2Globals::isLocked(cur)) {
             uint64_t expected = cur;
-            if (tl2_->orec(idx).compare_exchange_strong(
-                    expected, mine, std::memory_order_seq_cst)) {
+            schedPoint(SchedPoint::kRawRmw, &orec);
+            if (orec.compare_exchange_strong(expected, mine,
+                                             std::memory_order_seq_cst)) {
                 owned_.push_back({idx, cur, written});
                 return true;
             }
@@ -254,15 +338,18 @@ CrossShardPart::releaseTl2Owned(bool publishVersions)
         bool anyWritten = false;
         for (const auto &o : owned_)
             anyWritten = anyWritten || o.written;
-        if (anyWritten)
+        if (anyWritten) {
+            schedPoint(SchedPoint::kRawRmw, &tl2_->clock());
             wv = tl2_->clock().fetch_add(2, std::memory_order_seq_cst) +
                  2;
+        }
     }
     // Reverse acquisition order; read-only orecs go back to the exact
     // value they were locked at (the data under them never changed).
     for (auto it = owned_.rbegin(); it != owned_.rend(); ++it) {
         uint64_t release =
             (publishVersions && it->written) ? wv : it->oldValue;
+        schedPoint(SchedPoint::kRawStore, &tl2_->orec(it->idx));
         tl2_->orec(it->idx).store(release, std::memory_order_seq_cst);
     }
     owned_.clear();
@@ -271,63 +358,35 @@ CrossShardPart::releaseTl2Owned(bool publishVersions)
 void
 CrossShardPart::freezeBlocking()
 {
-    RawMem raw;
-    switch (family_) {
-    case CrossFamily::kClockRaw:
-        for (unsigned i = 0;; ++i) {
-            uint64_t c = raw.load(&g_.clock);
-            if (!clockIsLocked(c)) {
-                uint64_t expected = c;
-                if (raw.cas(&g_.clock, expected, clockWithLock(c))) {
-                    snapshot_ = c;
-                    clockHeld_ = true;
-                    break;
-                }
-            }
-            spinPause(i);
-        }
-        break;
-    case CrossFamily::kClockEngine:
-        lockEngineClock(/*blocking=*/true);
-        break;
-    case CrossFamily::kGlobalLock:
-        for (unsigned i = 0;; ++i) {
-            uint64_t expected = 0;
-            if (eng_.directCas(&g_.globalLock, expected, 1))
-                break;
-            spinPause(i);
-        }
-        stampEpoch(g_.watchdog.clockEpoch);
-        break;
-    case CrossFamily::kTl2:
-        // Take the irrevocability token: excludes native irrevocables
-        // and licenses this thread to block on orecs (2PL reads).
-        for (unsigned i = 0;; ++i) {
-            uint64_t expected = 0;
-            if (tl2_->irrevocableOwner().compare_exchange_strong(
-                    expected,
-                    static_cast<uint64_t>(kCrossOwnerBase + ownerId_) +
-                        1,
-                    std::memory_order_seq_cst)) {
-                tokenHeld_ = true;
-                break;
-            }
-            spinPause(i);
-        }
-        break;
-    case CrossFamily::kRhTl2:
-        for (unsigned i = 0;; ++i) {
-            uint64_t expected = 0;
-            if (eng_.directCas(&g_.htmLock, expected, 1)) {
-                htmLockHeld_ = true;
-                break;
-            }
-            spinPause(i);
-        }
-        stampEpoch(g_.watchdog.clockEpoch);
-        break;
+    if (family_ != CrossFamily::kTl2) {
+        lockShard(/*blocking=*/true);
+        return;
     }
-    frozen_ = true;
+    // Take the irrevocability token: excludes native irrevocables and
+    // licenses this thread to block on orecs (2PL reads).
+    std::atomic<uint64_t> &token = tl2_->irrevocableOwner();
+    const uint64_t mine =
+        static_cast<uint64_t>(kCrossOwnerBase + ownerId_) + 1;
+    for (unsigned i = 0;; ++i) {
+        uint64_t expected = 0;
+        schedPoint(SchedPoint::kRawRmw, &token);
+        if (token.compare_exchange_strong(expected, mine,
+                                          std::memory_order_seq_cst)) {
+            tokenHeld_ = true;
+            return;
+        }
+        spinPause(i);
+    }
+}
+
+void
+CrossShardPart::releaseToken()
+{
+    if (!tokenHeld_)
+        return;
+    schedPoint(SchedPoint::kRawStore, &tl2_->irrevocableOwner());
+    tl2_->irrevocableOwner().store(0, std::memory_order_seq_cst);
+    tokenHeld_ = false;
 }
 
 void
@@ -348,18 +407,11 @@ CrossShardPart::beginAttempt(bool escalated)
         // Freeze-at-begin, bounded: lock-elision has no clock, so the
         // only consistent read protocol is exclusion for the whole
         // attempt.
-        for (unsigned i = 0; i < kPrepareSpins; ++i) {
-            uint64_t expected = 0;
-            if (eng_.directCas(&g_.globalLock, expected, 1)) {
-                frozen_ = true;
-                stampEpoch(g_.watchdog.clockEpoch);
-                return;
-            }
-            spinPause(i);
-        }
-        restart();
+        if (!lockShard(/*blocking=*/false))
+            restart();
+        return;
     case CrossFamily::kRhTl2:
-        snapshot_ = eng_.directLoad(rhTl2_->clock());
+        snapshot_ = engine_.load(rhTl2_->clock());
         return;
     default:
         return;
@@ -367,106 +419,9 @@ CrossShardPart::beginAttempt(bool escalated)
 }
 
 bool
-CrossShardPart::lockEngineClock(bool blocking)
-{
-    // RH NOrec's own exclusion (Algorithm 1): with a fallback
-    // registered, every fast-path writer reads the clock at commit and
-    // aborts while it is locked, and every software writer needs the
-    // clock. Register first, then lock: a fast-path writer that saw
-    // fallbacks == 0 is doomed by the registration's store, so once
-    // the CAS lands no commit can reach the shard -- yet read-only
-    // hardware transactions, which touch neither word, run on.
-    if (!registered_) {
-        eng_.directFetchAdd(&g_.fallbacks, 1);
-        registered_ = true;
-    }
-    for (unsigned i = 0; blocking || i < kPrepareSpins; ++i) {
-        uint64_t c = eng_.directLoad(&g_.clock);
-        if (!clockIsLocked(c)) {
-            uint64_t expected = c;
-            if (eng_.directCas(&g_.clock, expected, clockWithLock(c))) {
-                snapshot_ = c;
-                clockHeld_ = true;
-                stampEpoch(g_.watchdog.clockEpoch);
-                return true;
-            }
-        }
-        spinPause(i);
-    }
-    unlockEngineClock(0); // Drops only the registration.
-    return false;
-}
-
-void
-CrossShardPart::unlockEngineClock(uint64_t clock)
-{
-    // Clock first, registration last: the shard stays closed to
-    // fast-path writers until the clock is released.
-    if (clockHeld_) {
-        eng_.directStore(&g_.clock, clock);
-        clockHeld_ = false;
-        stampEpoch(g_.watchdog.clockEpoch);
-    }
-    if (registered_) {
-        eng_.directFetchAdd(&g_.fallbacks, static_cast<uint64_t>(-1));
-        registered_ = false;
-    }
-}
-
-bool
-CrossShardPart::validateReads() const
-{
-    RawMem raw;
-    for (const auto &e : reads_) {
-        uint64_t current;
-        switch (family_) {
-        case CrossFamily::kClockRaw:
-        case CrossFamily::kTl2:
-            current = raw.load(e.addr);
-            break;
-        default:
-            current = eng_.directLoad(e.addr);
-            break;
-        }
-        if (current != e.value)
-            return false;
-    }
-    return true;
-}
-
-bool
 CrossShardPart::prepare()
 {
-    RawMem raw;
     switch (family_) {
-    case CrossFamily::kClockRaw: {
-        for (unsigned i = 0; i < kPrepareSpins; ++i) {
-            uint64_t c = raw.load(&g_.clock);
-            if (!clockIsLocked(c)) {
-                uint64_t expected = c;
-                if (raw.cas(&g_.clock, expected, clockWithLock(c))) {
-                    snapshot_ = c;
-                    clockHeld_ = true;
-                    if (validateReads())
-                        return true;
-                    raw.store(&g_.clock, snapshot_);
-                    clockHeld_ = false;
-                    return false;
-                }
-            }
-            spinPause(i);
-        }
-        return false;
-    }
-    case CrossFamily::kClockEngine:
-        // The value revalidation runs against a shard no committer can
-        // reach (see lockEngineClock).
-        if (!lockEngineClock(/*blocking=*/false))
-            return false;
-        if (validateReads())
-            return true;
-        unlockEngineClock(snapshot_);
-        return false;
     case CrossFamily::kGlobalLock:
         // Held since beginAttempt; nothing to validate.
         return true;
@@ -474,11 +429,13 @@ CrossShardPart::prepare()
         // Lock the read and write footprint's orecs in ascending index
         // order (bounded), then value-revalidate the reads.
         std::vector<std::pair<size_t, bool>> want;
-        want.reserve(reads_.size() + writes_.size());
-        for (const auto &e : reads_)
-            want.emplace_back(static_cast<size_t>(e.meta), false);
-        for (const auto &w : writes_)
-            want.emplace_back(tl2_->orecOf(w.first), true);
+        want.reserve(reads_.size() + writes_.sizeWords());
+        reads_.forEach([&](const uint64_t *addr) {
+            want.emplace_back(tl2_->orecOf(addr), false);
+        });
+        writes_.forEach([&](uint64_t *addr, uint64_t) {
+            want.emplace_back(tl2_->orecOf(addr), true);
+        });
         std::sort(want.begin(), want.end());
         for (const auto &[idx, written] : want) {
             if (!lockTl2Orec(idx, /*blocking=*/false, written)) {
@@ -486,41 +443,33 @@ CrossShardPart::prepare()
                 return false;
             }
         }
-        if (!validateReads()) {
-            releaseTl2Owned(false);
-            return false;
-        }
-        return true;
-    }
-    case CrossFamily::kRhTl2: {
-        for (unsigned i = 0; i < kPrepareSpins; ++i) {
-            uint64_t expected = 0;
-            if (eng_.directCas(&g_.htmLock, expected, 1)) {
-                htmLockHeld_ = true;
-                stampEpoch(g_.watchdog.clockEpoch);
-                if (validateReads())
-                    return true;
-                eng_.directStore(&g_.htmLock, 0);
-                htmLockHeld_ = false;
-                stampEpoch(g_.watchdog.clockEpoch);
-                return false;
-            }
-            spinPause(i);
-        }
+        if (reads_.consistent(raw_))
+            return true;
+        releaseTl2Owned(false);
         return false;
     }
+    default: {
+        // Families A, B and E: the family's lock, then the value
+        // revalidation against a shard no committer can reach.
+        if (!lockShard(/*blocking=*/false))
+            return false;
+        bool ok = family_ == CrossFamily::kClockRaw
+                      ? reads_.consistent(raw_)
+                      : reads_.consistent(engine_);
+        if (!ok)
+            unlockShard(/*published=*/false);
+        return ok;
     }
-    std::abort();
+    }
 }
 
 void
 CrossShardPart::publish(JointPublication &window)
 {
-    RawMem raw;
     switch (family_) {
     case CrossFamily::kClockRaw:
-        for (const auto &w : writes_)
-            raw.store(w.first, w.second);
+        writes_.forEach(
+            [&](uint64_t *addr, uint64_t v) { raw_.store(addr, v); });
         break;
     case CrossFamily::kClockEngine:
     case CrossFamily::kGlobalLock:
@@ -528,19 +477,21 @@ CrossShardPart::publish(JointPublication &window)
         // family-B hardware reader, which subscribes to none of the
         // words held here, cannot see this shard's new values beside
         // another shard's old ones.
-        for (const auto &w : writes_)
-            window.store(eng_, w.first, w.second);
+        writes_.forEach([&](uint64_t *addr, uint64_t v) {
+            window.store(eng_, addr, v);
+        });
         break;
     case CrossFamily::kTl2:
         if (escalated_) {
             // Escalated 2PL: write orecs were not pre-locked by a
             // prepare pass; take them now (blocking, token held).
-            for (const auto &w : writes_)
-                lockTl2Orec(tl2_->orecOf(w.first), /*blocking=*/true,
+            writes_.forEach([&](uint64_t *addr, uint64_t) {
+                lockTl2Orec(tl2_->orecOf(addr), /*blocking=*/true,
                             /*written=*/true);
+            });
         }
-        for (const auto &w : writes_)
-            raw.store(w.first, w.second);
+        writes_.forEach(
+            [&](uint64_t *addr, uint64_t v) { raw_.store(addr, v); });
         break;
     case CrossFamily::kRhTl2: {
         if (writes_.empty())
@@ -548,95 +499,32 @@ CrossShardPart::publish(JointPublication &window)
         // Native write-back order: orec first, then the value, clock
         // last. The shard's htmLock is held, so the clock cannot move
         // underneath us.
-        uint64_t wv = eng_.directLoad(rhTl2_->clock()) + 2;
-        for (const auto &w : writes_) {
-            eng_.directStore(rhTl2_->orecOf(w.first), wv);
-            eng_.directStore(w.first, w.second);
-        }
-        eng_.directStore(rhTl2_->clock(), wv);
+        uint64_t wv = engine_.load(rhTl2_->clock()) + 2;
+        writes_.forEach([&](uint64_t *addr, uint64_t v) {
+            engine_.store(rhTl2_->orecOf(addr), wv);
+            engine_.store(addr, v);
+        });
+        engine_.store(rhTl2_->clock(), wv);
         break;
     }
-    }
-}
-
-void
-CrossShardPart::releaseAdvance()
-{
-    RawMem raw;
-    switch (family_) {
-    case CrossFamily::kClockRaw:
-        if (clockHeld_) {
-            raw.store(&g_.clock, wrote()
-                                     ? clockUnlockAndAdvance(snapshot_)
-                                     : snapshot_);
-            clockHeld_ = false;
-        }
-        break;
-    case CrossFamily::kClockEngine:
-        unlockEngineClock(wrote() ? clockUnlockAndAdvance(snapshot_)
-                                  : snapshot_);
-        break;
-    case CrossFamily::kGlobalLock:
-        if (frozen_) {
-            eng_.directStore(&g_.globalLock, 0);
-            frozen_ = false;
-            stampEpoch(g_.watchdog.clockEpoch);
-        }
-        break;
-    case CrossFamily::kTl2:
-        releaseTl2Owned(true);
-        break;
-    case CrossFamily::kRhTl2:
-        if (htmLockHeld_) {
-            eng_.directStore(&g_.htmLock, 0);
-            htmLockHeld_ = false;
-            stampEpoch(g_.watchdog.clockEpoch);
-        }
-        break;
     }
 }
 
 void
 CrossShardPart::releaseRestore()
 {
-    RawMem raw;
-    switch (family_) {
-    case CrossFamily::kClockRaw:
-        if (clockHeld_) {
-            raw.store(&g_.clock, snapshot_);
-            clockHeld_ = false;
-        }
-        break;
-    case CrossFamily::kClockEngine:
-        unlockEngineClock(snapshot_);
-        break;
-    case CrossFamily::kGlobalLock:
-        // Freeze persists until rollbackAttempt: the lock was taken at
-        // begin, not by prepare, so an unrelated shard's prepare
-        // failure must not drop it early.
-        break;
-    case CrossFamily::kTl2:
-        releaseTl2Owned(false);
-        break;
-    case CrossFamily::kRhTl2:
-        if (htmLockHeld_) {
-            eng_.directStore(&g_.htmLock, 0);
-            htmLockHeld_ = false;
-            stampEpoch(g_.watchdog.clockEpoch);
-        }
-        break;
-    }
+    // Lock-elision's freeze persists until rollbackAttempt: the lock
+    // was taken at begin, not by prepare, so an unrelated shard's
+    // prepare failure must not drop it early.
+    if (family_ != CrossFamily::kGlobalLock)
+        unlockShard(/*published=*/false);
 }
 
 void
 CrossShardPart::releaseEscalated()
 {
     releaseAdvance();
-    if (tokenHeld_) {
-        tl2_->irrevocableOwner().store(0, std::memory_order_seq_cst);
-        tokenHeld_ = false;
-    }
-    frozen_ = false;
+    releaseToken();
 }
 
 void
@@ -645,15 +533,8 @@ CrossShardPart::rollbackAttempt()
     if (!active_)
         return;
     releaseRestore();
-    if (frozen_ && family_ == CrossFamily::kGlobalLock) {
-        eng_.directStore(&g_.globalLock, 0);
-        stampEpoch(g_.watchdog.clockEpoch);
-    }
-    frozen_ = false;
-    if (tokenHeld_) {
-        tl2_->irrevocableOwner().store(0, std::memory_order_seq_cst);
-        tokenHeld_ = false;
-    }
+    unlockWord(); // Lock-elision's begin-held lock, if any.
+    releaseToken();
     reads_.clear();
     writes_.clear();
     rt_.memory().epochs().exitRegion(ctx_.tid());

@@ -12,54 +12,56 @@
  * against it) and a DomainCommitPart (so multiDomainCommit() can drive
  * it).
  *
- * Families (by the shard's AlgoKind):
+ * Families (by the shard's AlgoKind), and the engine object each runs
+ * its protocol over:
  *
- *  - clock/raw (norec, norec-lazy): every native commit locks the
- *    NOrec clock, so a clock-stable sandwich (c1 unlocked, load, c2 ==
- *    c1) yields a committed value. Prepare = CAS the clock locked at
- *    its current value + value-revalidate the read log (the NOrec
- *    commit, via this shard's domain seqlock).
- *  - clock/engine (hy-norec, hy-norec-lazy, rh-norec): same protocol
- *    through HtmEngine direct ops. Hardware fast paths may commit
- *    without moving the clock when no fallback is registered; those
- *    silent commits are atomic (a sandwich load sees pre- or
- *    post-state, never a torn write) and any resulting cross-read
- *    staleness is caught by prepare's value revalidation. Prepare
- *    uses RH NOrec Algorithm 1's own exclusion rather than the HTM
- *    lock: it registers in TmGlobals::fallbacks, then CAS-locks the
- *    clock. With a fallback registered every fast-path writer reads
- *    the clock at commit and aborts while it is locked, so nothing can
- *    commit mid-validation -- yet read-only hardware transactions,
- *    which subscribe only to htmLock, run on untouched. Publication
- *    goes through the commit's JointPublication, so a hardware reader
- *    sees every involved shard's new values or none of them.
- *  - global-lock (lock-elision): there is no clock to validate
+ *  - clock (A = norec, norec-lazy over RawMem; B = hy-norec,
+ *    hy-norec-lazy, rh-norec over EngineMem): RH NOrec's slow-path
+ *    commit (Algorithm 1) on the shard's CommitSeqlock. Reads are a
+ *    clock-stable sandwich (c1 unlocked, load, c2 == c1) logged in a
+ *    ValueReadLog; prepare locks the clock at its current value and
+ *    checks the log with consistent(); release advances the clock if
+ *    the part wrote, else restores it. B passes the watchdog's clock
+ *    epoch, as the hybrid sessions do, and registers in
+ *    TmGlobals::fallbacks before the clock CAS (dropped after the
+ *    clock is released): with a fallback registered every fast-path
+ *    writer reads the clock at commit and aborts while it is locked,
+ *    yet read-only hardware transactions, which subscribe only to
+ *    htmLock, run on. Hardware fast paths may commit without moving
+ *    the clock when no fallback is registered; those silent commits
+ *    are atomic, and any resulting cross-read staleness is caught by
+ *    prepare's value revalidation. Publication goes through the
+ *    commit's JointPublication, so a hardware reader sees every
+ *    involved shard's new values or none of them.
+ *  - global-lock (C = lock-elision): there is no clock to validate
  *    against, so the shard is frozen for the whole attempt -- the
- *    global lock is acquired at begin (bounded spin, then restart),
- *    body reads are direct under the held lock, and prepare is a
- *    no-op. Fast paths subscribe the lock word and serial natives
- *    spin on it, so the freeze excludes every native commit.
- *  - tl2: orec-stable sandwich reads (locked or moved orec =>
+ *    global lock word is taken at begin (bounded, then restart), body
+ *    reads are direct under the held lock, and prepare is a no-op.
+ *    Fast paths subscribe the lock word and serial natives spin on
+ *    it, so the freeze excludes every native commit.
+ *  - tl2 (D): orec-stable sandwich reads (locked or moved orec =>
  *    restart); prepare CAS-locks every read/written orec with a
  *    cross-owner id far above the native tid range, then
  *    value-revalidates. Publication stores values under the held
  *    orecs; release stamps written orecs with a fresh clock version
  *    and restores read-only orecs to the value they were locked at.
- *  - rh-tl2: reads validate orec version <= the attempt's clock
+ *  - rh-tl2 (E): reads validate orec version <= the attempt's clock
  *    snapshot with an orec-stable sandwich (sound because native
  *    write-back stores the orec before the value); prepare takes the
- *    shard's HTM lock and value-revalidates; publication follows the
- *    native order (orec = wv, then value, clock last).
+ *    shard's HTM lock word (the same word lock as C's global lock)
+ *    and value-revalidates; publication follows the native order
+ *    (orec = wv, then value, clock last).
  *
- * Every prepare-side wait is bounded (spin cap, then fail), so
- * cross-shard committers -- which acquire shards in ascending domain-id
- * order -- can never deadlock against each other or against natives.
- * Repeated failure escalates: the coordinator serializes under a
- * store-level mutex and freezes every involved shard in domain order
- * (blocking acquires of the same words -- for clock/engine, the same
- * registration plus clock lock), after which the body reads directly
- * and publication, through the same joint window, cannot fail. See
- * docs/STORE.md.
+ * Writes are buffered in a RedoBuffer. Each family has one lock
+ * routine, bounded in prepare (spin cap, then fail) and blocking in
+ * the escalated freeze, so cross-shard committers -- which acquire
+ * shards in ascending domain-id order -- can never deadlock against
+ * each other or against natives. Repeated failure escalates: the
+ * coordinator serializes under a store-level mutex and freezes every
+ * involved shard in domain order with those blocking acquires (TL2
+ * takes its irrevocability token instead), after which the body reads
+ * directly and publication, through the same joint window, cannot
+ * fail. See docs/STORE.md.
  *
  * Not supported inside cross-shard bodies: becomeIrrevocable() (the
  * escalated mode IS the irrevocable analogue) and tx.retry().
@@ -72,6 +74,9 @@
 #include <vector>
 
 #include "src/api/runtime.h"
+#include "src/core/engine/commit_seqlock.h"
+#include "src/core/engine/journal.h"
+#include "src/core/engine/mem_access.h"
 #include "src/core/engine/multi_domain_commit.h"
 
 namespace rhtm
@@ -86,8 +91,6 @@ enum class CrossFamily : uint8_t
     kTl2,        //!< tl2 (orec locks).
     kRhTl2,      //!< rh-tl2 (orec versions + HTM lock).
 };
-
-CrossFamily crossFamilyOf(AlgoKind kind);
 
 /**
  * TL2 cross-commit owner ids start here, far above any plausible
@@ -138,7 +141,7 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     uint64_t domainId() const override { return rt_.domain().id(); }
     bool prepare() override;
     void publish(JointPublication &window) override;
-    void releaseAdvance() override;
+    void releaseAdvance() override { unlockShard(/*published=*/true); }
     void releaseRestore() override;
 
     // -----------------------------------------------------------------
@@ -156,13 +159,6 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     const char *name() const override { return "cross-shard"; }
 
   private:
-    struct ReadEntry
-    {
-        const uint64_t *addr;
-        uint64_t value;
-        uint64_t meta; //!< TL2 orec index / RH-TL2 orec pointer.
-    };
-
     struct OwnedOrec
     {
         size_t idx;
@@ -177,17 +173,25 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
 
     uint64_t readWord(const uint64_t *addr);
     uint64_t readEscalated(const uint64_t *addr);
-    void bufferWrite(uint64_t *addr, uint64_t value);
-    bool bufferedValue(const uint64_t *addr, uint64_t &out) const;
+    template <typename Mem>
+    uint64_t clockRead(const Mem &mem, const uint64_t *addr);
 
     [[noreturn]] static void restart() { throw TxRestart{}; }
 
+    bool lockShard(bool blocking);
+    void unlockShard(bool published);
+    template <typename Mem>
+    bool lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
+                   bool blocking);
+    template <typename Mem>
+    void unlockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
+                     bool advance);
+    bool lockWord(uint64_t *word, bool blocking);
+    void unlockWord();
     bool lockTl2Orec(size_t idx, bool blocking, bool written);
     void releaseTl2Owned(bool publishVersions);
     void freezeBlocking();
-    bool lockEngineClock(bool blocking);
-    void unlockEngineClock(uint64_t clock);
-    bool validateReads() const;
+    void releaseToken();
 
     TmRuntime &rt_;
     ThreadCtx &ctx_;
@@ -198,18 +202,21 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     CrossFamily family_;
     unsigned ownerId_;
 
-    std::vector<ReadEntry> reads_;
-    std::vector<std::pair<uint64_t *, uint64_t>> writes_;
+    RawMem raw_;
+    EngineMem engine_;
+    CommitSeqlock<RawMem> rawClock_;       //!< Family A.
+    CommitSeqlock<EngineMem> engineClock_; //!< Family B.
+
+    ValueReadLog reads_;
+    RedoBuffer writes_;
     std::vector<OwnedOrec> owned_; //!< TL2 orecs this attempt holds.
 
     uint64_t snapshot_ = 0;  //!< Clock sample (rv / locked-at value).
+    uint64_t *heldWord_ = nullptr; //!< Word lock held (C, E).
     bool active_ = false;    //!< Attempt in flight (epoch slot held).
     bool escalated_ = false;
-    bool frozen_ = false;    //!< Family freeze held (C always; all
-                             //!< families in escalated mode).
     bool clockHeld_ = false; //!< Clock seqlock held (families A/B).
     bool registered_ = false; //!< Counted in fallbacks (family B).
-    bool htmLockHeld_ = false; //!< HTM lock held (family E).
     bool tokenHeld_ = false; //!< TL2 irrevocable token (escalated).
 };
 

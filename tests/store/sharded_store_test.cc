@@ -41,6 +41,23 @@ configFor(AlgoKind kind, unsigned shards)
     return cfg;
 }
 
+/**
+ * No cross-shard part left a coordination word behind: no HTM lock,
+ * fallback registration, global lock or locked clock on any shard.
+ */
+void
+expectShardsQuiescent(ShardedStore &store)
+{
+    for (unsigned s = 0; s < store.shardCount(); ++s) {
+        TmRuntime &rt = store.shardRuntime(s);
+        EXPECT_EQ(rt.peek(&rt.globals().htmLock), 0u) << "shard " << s;
+        EXPECT_EQ(rt.peek(&rt.globals().fallbacks), 0u) << "shard " << s;
+        EXPECT_EQ(rt.peek(&rt.globals().globalLock), 0u) << "shard " << s;
+        EXPECT_FALSE(clockIsLocked(rt.peek(&rt.globals().clock)))
+            << "shard " << s;
+    }
+}
+
 class StoreAlgoTest : public ::testing::TestWithParam<AlgoKind>
 {
 };
@@ -363,14 +380,46 @@ TEST_P(StoreAlgoTest, EscalatedCrossShardRmwPreservesSum)
     }
     EXPECT_EQ(sum, kKeys * kSeedValue + 3ull * kThreads * kOpsPerThread);
     EXPECT_GT(store.stats().get(Counter::kCrossShardEscalations), 0u);
-    for (unsigned s = 0; s < store.shardCount(); ++s) {
-        TmRuntime &rt = store.shardRuntime(s);
-        EXPECT_EQ(rt.peek(&rt.globals().htmLock), 0u) << "shard " << s;
-        EXPECT_EQ(rt.peek(&rt.globals().fallbacks), 0u) << "shard " << s;
-        EXPECT_EQ(rt.peek(&rt.globals().globalLock), 0u) << "shard " << s;
-        EXPECT_FALSE(clockIsLocked(rt.peek(&rt.globals().clock)))
-            << "shard " << s;
+    expectShardsQuiescent(store);
+}
+
+// One cross-shard RMW writes 20 keys on each of two shards, half of
+// them fresh, so each shard's part buffers far more words than the 16
+// its write index starts with and the index grows mid-body. With one
+// hash bucket per shard every key's walk reads the chain head and the
+// nodes this RMW already inserted, so read-own-writes span each
+// growth; the repeated key must add its delta twice.
+TEST_P(StoreAlgoTest, CrossShardRmwOutgrowsWriteIndex)
+{
+    const unsigned kKeys = 40;
+    const uint64_t kDelta = 5;
+    const unsigned kRepeated = 3;
+    StoreConfig cfg = configFor(GetParam(), 2);
+    cfg.hashBucketsLog2 = 0;
+    ShardedStore store(cfg);
+    StoreWorker &w = store.registerWorker();
+    std::vector<uint64_t> keys;
+    for (unsigned salt = 0; salt < kKeys; ++salt) {
+        keys.push_back(store.keyForShard(salt % 2, salt));
+        if (salt < kKeys / 2) {
+            ASSERT_EQ(store.put(w, keys.back(), kSeedValue),
+                      TxnOutcome::kCommitted);
+        }
     }
+    std::vector<uint64_t> rmwKeys = keys;
+    rmwKeys.push_back(keys[kRepeated]);
+    ASSERT_EQ(store.multiRmw(w, rmwKeys, kDelta), TxnOutcome::kCommitted);
+    EXPECT_EQ(store.stats().get(Counter::kCrossShardCommits), 1u);
+    for (unsigned i = 0; i < kKeys; ++i) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(w, keys[i], v, found), TxnOutcome::kCommitted);
+        EXPECT_TRUE(found) << "key " << keys[i];
+        const uint64_t base = i < kKeys / 2 ? kSeedValue : 0;
+        EXPECT_EQ(v, base + kDelta * (i == kRepeated ? 2 : 1))
+            << "key " << keys[i];
+    }
+    expectShardsQuiescent(store);
 }
 
 /** StoreObserver -> check::History bridge (mirrors bench_store). */
@@ -405,13 +454,20 @@ class RecordingObserver final : public StoreObserver
     check::History history_;
 };
 
-TEST_P(StoreAlgoTest, ConcurrentHistoriesAreStrictlySerializable)
+/**
+ * Run a concurrent get/put/scan/multiRmw mix on a 3-shard store of
+ * @p kind with @p rmwMaxAttempts and check the recorded history.
+ */
+void
+checkConcurrentHistory(AlgoKind kind, unsigned rmwMaxAttempts)
 {
     const unsigned kThreads = 3;
     const unsigned kOpsPerThread = 50;
     const uint64_t kKeys = 64; // Checker var ids are uint16.
 
-    ShardedStore store(configFor(GetParam(), 3));
+    StoreConfig cfg = configFor(kind, 3);
+    cfg.rmwMaxAttempts = rmwMaxAttempts;
+    ShardedStore store(cfg);
     StoreWorker &seeder = store.registerWorker();
     store.seed(seeder, kKeys, kSeedValue);
 
@@ -463,6 +519,10 @@ TEST_P(StoreAlgoTest, ConcurrentHistoriesAreStrictlySerializable)
 
     // Cross-shard commits must actually be exercised by the mix.
     EXPECT_GE(store.stats().get(Counter::kCrossShardCommits), 1u);
+    if (rmwMaxAttempts == 0) {
+        EXPECT_EQ(store.stats().get(Counter::kCrossShardEscalations),
+                  store.stats().get(Counter::kCrossShardCommits));
+    }
 
     std::vector<uint64_t> initial(kKeys, kSeedValue);
     check::CheckResult result =
@@ -470,6 +530,17 @@ TEST_P(StoreAlgoTest, ConcurrentHistoriesAreStrictlySerializable)
     EXPECT_TRUE(result.ok())
         << check::checkVerdictName(result.verdict) << ": "
         << result.detail;
+}
+
+// Optimistic cross-shard commits under the default retry budget, then
+// rmwMaxAttempts = 0, which runs every cross-shard RMW through the
+// escalated blocking freeze against the same native get, put and scan.
+TEST_P(StoreAlgoTest, ConcurrentHistoriesAreStrictlySerializable)
+{
+    for (unsigned rmwMaxAttempts : {StoreConfig{}.rmwMaxAttempts, 0u}) {
+        SCOPED_TRACE("rmwMaxAttempts = " + std::to_string(rmwMaxAttempts));
+        checkConcurrentHistory(GetParam(), rmwMaxAttempts);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -653,6 +724,78 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/** Records every scheduling point the calling thread passes. */
+class RecordingClient final : public SchedClient
+{
+  public:
+    void
+    schedYield(SchedPoint point, const void *addr, bool) override
+    {
+        steps.emplace_back(point, addr);
+    }
+
+    bool
+    saw(SchedPoint point, const void *addr) const
+    {
+        for (const auto &[p, a] : steps)
+            if (p == point && a == addr)
+                return true;
+        return false;
+    }
+
+    std::vector<std::pair<SchedPoint, const void *>> steps;
+};
+
+// Every shared access a cross-shard commit makes sits behind a
+// scheduling point, so the interleaving explorer can drive it: the
+// NOrec-family clock protocol reports its seqlock transitions on each
+// shard's clock, and TL2's prepare its orec CASes.
+TEST(ShardedStoreTest, CrossShardCommitReachesSchedulingPoints)
+{
+    for (AlgoKind kind :
+         {AlgoKind::kNOrec, AlgoKind::kRhNOrec, AlgoKind::kTl2}) {
+        SCOPED_TRACE(algoKindName(kind));
+        ShardedStore store(configFor(kind, 2));
+        StoreWorker &w = store.registerWorker();
+        std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                                   store.keyForShard(1, 1)};
+        for (uint64_t key : keys)
+            ASSERT_EQ(store.put(w, key, kSeedValue),
+                      TxnOutcome::kCommitted);
+
+        RecordingClient client;
+        setSchedClient(&client);
+        TxnOutcome outcome = store.multiRmw(w, keys, 1);
+        setSchedClient(nullptr);
+        ASSERT_EQ(outcome, TxnOutcome::kCommitted);
+        ASSERT_EQ(store.stats().get(Counter::kCrossShardCommits), 1u);
+
+        for (unsigned s = 0; s < store.shardCount(); ++s) {
+            TmRuntime &rt = store.shardRuntime(s);
+            if (kind != AlgoKind::kTl2) {
+                const uint64_t *clock = &rt.globals().clock;
+                EXPECT_TRUE(client.saw(SchedPoint::kSeqlockAcquire, clock))
+                    << "shard " << s;
+                EXPECT_TRUE(client.saw(SchedPoint::kSeqlockRelease, clock))
+                    << "shard " << s;
+                continue;
+            }
+            // The orec covering each word the body loaded; prepare must
+            // CAS at least one of this shard's.
+            Tl2Globals &tl2 = *rt.tl2Globals();
+            bool lockedOrec = false;
+            for (const auto &[point, addr] : client.steps) {
+                if (point != SchedPoint::kRawLoad)
+                    continue;
+                lockedOrec = lockedOrec ||
+                             client.saw(SchedPoint::kRawRmw,
+                                        &tl2.orec(tl2.orecOf(addr)));
+            }
+            EXPECT_TRUE(lockedOrec) << "shard " << s;
+        }
+    }
+}
 
 TEST(ShardedStoreTest, HashPartitionCoversAllShards)
 {

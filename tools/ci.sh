@@ -194,6 +194,11 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     build-tsan/tests/htm_tests
     build-tsan/tests/store_tests \
         --gtest_filter='-*ConcurrentHistoriesAreStrictlySerializable*'
+    echo "== TSan cross-shard leg: lock and unlock paths, repeated =="
+    # The cross-shard part's lock routines (clock seqlock, word lock,
+    # orecs, fallback registration) and their unlocks, three times over.
+    build-tsan/tests/store_tests \
+        --gtest_filter='*CrossShard*:*FamilyB*' --gtest_repeat=3
 fi
 
 echo "ci gate passed"
