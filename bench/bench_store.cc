@@ -107,7 +107,7 @@ struct Cell
     double p50Us = 0, p99Us = 0, maxUs = 0;
     double seconds = 0;
     double throughput = 0;
-    uint64_t crossCommits = 0, crossRestarts = 0, crossEscalations = 0;
+    uint64_t crossCommits = 0;
     uint64_t deadlineExceeded = 0, shed = 0;
     bool hasVerified = false;
     bool verified = false;
@@ -309,9 +309,6 @@ runOltpCell(AlgoKind algo, unsigned shards, unsigned threads,
     all.throughput =
         seconds > 0 ? static_cast<double>(allCommitted) / seconds : 0;
     all.crossCommits = totals.get(Counter::kCrossShardCommits);
-    all.crossRestarts = totals.get(Counter::kCrossShardRestarts);
-    all.crossEscalations =
-        totals.get(Counter::kCrossShardEscalations);
     all.deadlineExceeded = totals.get(Counter::kDeadlineExceeded);
     all.shed = totals.get(Counter::kAdmissionShed);
     cells.push_back(all);
@@ -404,9 +401,6 @@ runCheckCell(AlgoKind algo, const Config &cfg)
     for (uint64_t n : committedPer)
         c.committed += n;
     c.crossCommits = totals.get(Counter::kCrossShardCommits);
-    c.crossRestarts = totals.get(Counter::kCrossShardRestarts);
-    c.crossEscalations =
-        totals.get(Counter::kCrossShardEscalations);
     c.hasVerified = true;
     c.verified = result.ok();
     if (!result.ok()) {
@@ -547,16 +541,13 @@ parseArgs(const CliOptions &opts)
 void
 printCell(const Cell &c)
 {
-    std::printf("%s,%s,%s,%u,%u,%llu,%llu,%.1f,%.1f,%.1f,%.3f,%.0f,"
-                "%llu,%llu,%llu",
+    std::printf("%s,%s,%s,%u,%u,%llu,%llu,%.1f,%.1f,%.1f,%.3f,%.0f,%llu",
                 c.mode.c_str(), c.algo.c_str(), c.opclass.c_str(),
                 c.shards, c.threads,
                 static_cast<unsigned long long>(c.ops),
                 static_cast<unsigned long long>(c.committed), c.p50Us,
                 c.p99Us, c.maxUs, c.seconds, c.throughput,
-                static_cast<unsigned long long>(c.crossCommits),
-                static_cast<unsigned long long>(c.crossRestarts),
-                static_cast<unsigned long long>(c.crossEscalations));
+                static_cast<unsigned long long>(c.crossCommits));
     if (c.hasVerified)
         std::printf(",%s", c.verified ? "ok" : "FAIL");
     std::printf("\n");
@@ -584,8 +575,7 @@ writeJson(const std::string &path, const Config &cfg,
             "\"ops\": %llu, \"committed\": %llu, "
             "\"p50_us\": %.1f, \"p99_us\": %.1f, \"max_us\": %.1f, "
             "\"seconds\": %.3f, \"throughput\": %.0f, "
-            "\"cross_commits\": %llu, \"cross_restarts\": %llu, "
-            "\"cross_escalations\": %llu, "
+            "\"cross_commits\": %llu, "
             "\"deadline_exceeded\": %llu, \"admission_shed\": %llu",
             c.mode.c_str(), c.algo.c_str(), c.opclass.c_str(),
             c.shards, c.threads,
@@ -593,8 +583,6 @@ writeJson(const std::string &path, const Config &cfg,
             static_cast<unsigned long long>(c.committed), c.p50Us,
             c.p99Us, c.maxUs, c.seconds, c.throughput,
             static_cast<unsigned long long>(c.crossCommits),
-            static_cast<unsigned long long>(c.crossRestarts),
-            static_cast<unsigned long long>(c.crossEscalations),
             static_cast<unsigned long long>(c.deadlineExceeded),
             static_cast<unsigned long long>(c.shed));
         if (c.hasVerified)
@@ -616,7 +604,7 @@ benchMain(int argc, char **argv)
 
     std::printf("mode,algo,opclass,shards,threads,ops,committed,"
                 "p50_us,p99_us,max_us,seconds,throughput,"
-                "cross_commits,cross_restarts,cross_escalations\n");
+                "cross_commits\n");
 
     for (AlgoKind algo : cfg.algos) {
         for (unsigned shards : cfg.shards) {

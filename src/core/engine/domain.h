@@ -7,9 +7,9 @@
  * ticket lock). Alistarh et al. prove that contention on this shared
  * metadata is unavoidable *within* one domain -- so the way past the
  * bottleneck is to host many domains: a sharded store gives every
- * shard its own TmDomain and commits cross-shard transactions with an
- * ordered two-phase protocol over the involved domains' seqlocks
- * (multi_domain_commit.h, docs/STORE.md).
+ * shard its own TmDomain and commits a cross-shard transaction by
+ * freezing the involved domains in ascending id order
+ * (src/store/cross_txn.h, docs/STORE.md).
  *
  * A TmDomain bundles the things that make a coordination domain a
  * domain: a process-unique identity (the global acquisition order for
@@ -87,9 +87,9 @@ struct alignas(64) TmDomain
 
     /**
      * Process-unique domain id, assigned at construction. Cross-domain
-     * commits acquire the involved domains' seqlocks in ascending id
-     * order (multi_domain_commit.h), so the id IS the global lock
-     * order and must never be reused or reordered.
+     * commits freeze the involved domains in ascending id order
+     * (src/store/cross_txn.h), so the id IS the global lock order and
+     * must never be reused or reordered.
      */
     uint64_t id() const { return id_; }
 

@@ -63,8 +63,8 @@ enum class Counter : unsigned
     kAdmissionShed,         //!< Transactions shed by the admission gate.
     kAdmissionQueuedTicks,  //!< Wait iterations spent queued at the gate.
     kCrossShardCommits,     //!< Multi-domain transactions committed.
-    kCrossShardRestarts,    //!< Multi-domain prepare/validate failures.
-    kCrossShardEscalations, //!< Multi-domain commits that went serial.
+    kCrossShardRestarts,    //!< Stays 0: a cross commit runs once.
+    kCrossShardEscalations, //!< Stays 0: freezing is the only mode.
     kRevalidations,         //!< Full value-log revalidations run.
     kRevalidationsSkipped,  //!< Revalidations skipped via the filter ring.
     kTsExtensions,          //!< Eager-path timestamp extensions taken.

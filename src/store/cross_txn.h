@@ -3,68 +3,47 @@
  * CrossShardPart: one shard's view of a cross-shard transaction.
  *
  * A cross-shard transaction runs one logical body over several
- * TmRuntimes at once. Per involved shard it keeps a value read log and
- * a redo write buffer, reads committed state with the shard family's
- * consistency protocol, and commits through the engine's ordered
- * two-phase MultiDomainCommit (prepare = lock + revalidate, publish,
- * release in reverse). This class is both sides of that coin: a
- * TxSession (so Txn and the transactional containers work unchanged
- * against it) and a DomainCommitPart (so multiDomainCommit() can drive
- * it).
+ * TmRuntimes at once. It has one commit mode: the coordinator
+ * (ShardedStore::runCross) freezes every involved shard in ascending
+ * domain-id order with its family's blocking exclusion, runs the body
+ * with direct reads into a per-part RedoBuffer, publishes every part
+ * through one JointPublication, and releases the parts in reverse
+ * order. A frozen shard admits no native commit, so the body needs no
+ * read log and the publication cannot fail. This class is a TxSession,
+ * so Txn and the transactional containers work unchanged against it.
  *
- * Families (by the shard's AlgoKind), and the engine object each runs
- * its protocol over:
+ * Families (by the shard's AlgoKind), and the freeze each takes:
  *
  *  - clock (A = norec, norec-lazy over RawMem; B = hy-norec,
- *    hy-norec-lazy, rh-norec over EngineMem): RH NOrec's slow-path
- *    commit (Algorithm 1) on the shard's CommitSeqlock. Reads are a
- *    clock-stable sandwich (c1 unlocked, load, c2 == c1) logged in a
- *    ValueReadLog; prepare locks the clock at its current value and
- *    checks the log with consistent(); release advances the clock if
- *    the part wrote, else restores it. B passes the watchdog's clock
- *    epoch, as the hybrid sessions do, and registers in
- *    TmGlobals::fallbacks before the clock CAS (dropped after the
- *    clock is released): with a fallback registered every fast-path
- *    writer reads the clock at commit and aborts while it is locked,
- *    yet read-only hardware transactions, which subscribe only to
- *    htmLock, run on. Hardware fast paths may commit without moving
- *    the clock when no fallback is registered; those silent commits
- *    are atomic, and any resulting cross-read staleness is caught by
- *    prepare's value revalidation. Publication goes through the
- *    commit's JointPublication, so a hardware reader sees every
- *    involved shard's new values or none of them.
- *  - global-lock (C = lock-elision): there is no clock to validate
- *    against, so the shard is frozen for the whole attempt -- the
- *    global lock word is taken at begin (bounded, then restart), body
- *    reads are direct under the held lock, and prepare is a no-op.
- *    Fast paths subscribe the lock word and serial natives spin on
- *    it, so the freeze excludes every native commit.
- *  - tl2 (D): orec-stable sandwich reads (locked or moved orec =>
- *    restart); prepare CAS-locks every read/written orec with a
- *    cross-owner id far above the native tid range, then
- *    value-revalidates. Publication stores values under the held
- *    orecs; release stamps written orecs with a fresh clock version
- *    and restores read-only orecs to the value they were locked at.
- *  - rh-tl2 (E): reads validate orec version <= the attempt's clock
- *    snapshot with an orec-stable sandwich (sound because native
- *    write-back stores the orec before the value); prepare takes the
- *    shard's HTM lock word (the same word lock as C's global lock)
- *    and value-revalidates; publication follows the native order
- *    (orec = wv, then value, clock last).
+ *    hy-norec-lazy, rh-norec over EngineMem): the shard's
+ *    CommitSeqlock, as RH NOrec's slow path takes it (Algorithm 1).
+ *    B passes the watchdog's clock epoch, as the hybrid sessions do,
+ *    and registers in TmGlobals::fallbacks before the clock CAS
+ *    (dropped after the clock is released): with a fallback
+ *    registered every fast-path writer reads the clock at commit and
+ *    aborts while it is locked, yet read-only hardware transactions,
+ *    which subscribe only to htmLock, run on. Publication goes through
+ *    the JointPublication, so a hardware reader sees every involved
+ *    shard's new values or none of them. Release advances the clock
+ *    if the part wrote, else restores it.
+ *  - global-lock (C = lock-elision): the word lock on globalLock. Fast
+ *    paths subscribe the lock word and serial natives spin on it.
+ *  - tl2 (D): the irrevocability token, which licenses this thread to
+ *    wait on orecs; each word's orec is then 2PL-locked when the body
+ *    first reads or writes it, with a cross-owner id far above the
+ *    native tid range. Release stamps written orecs with a fresh clock
+ *    version and restores read-only orecs to the value they were
+ *    locked at.
+ *  - rh-tl2 (E): the word lock on htmLock (C's routine); publication
+ *    follows the native order (orec = wv, then value, clock last).
  *
- * Writes are buffered in a RedoBuffer. Each family has one lock
- * routine, bounded in prepare (spin cap, then fail) and blocking in
- * the escalated freeze, so cross-shard committers -- which acquire
- * shards in ascending domain-id order -- can never deadlock against
- * each other or against natives. Repeated failure escalates: the
- * coordinator serializes under a store-level mutex and freezes every
- * involved shard in domain order with those blocking acquires (TL2
- * takes its irrevocability token instead), after which the body reads
- * directly and publication, through the same joint window, cannot
- * fail. See docs/STORE.md.
+ * Every wait polls the coordinator's DeadlineState and unwinds with
+ * TxnDeadlineExceeded when it expires; release() then drops whatever
+ * the part holds. See docs/STORE.md "Freeze order and deadlock
+ * freedom".
  *
- * Not supported inside cross-shard bodies: becomeIrrevocable() (the
- * escalated mode IS the irrevocable analogue) and tx.retry().
+ * Not supported inside cross-shard bodies: becomeIrrevocable() and
+ * tx.retry().
  */
 
 #ifndef RHTM_STORE_CROSS_TXN_H
@@ -77,19 +56,18 @@
 #include "src/core/engine/commit_seqlock.h"
 #include "src/core/engine/journal.h"
 #include "src/core/engine/mem_access.h"
-#include "src/core/engine/multi_domain_commit.h"
 
 namespace rhtm
 {
 
-/** Read/validate protocol family of a shard's AlgoKind. */
+/** Freeze protocol family of a shard's AlgoKind. */
 enum class CrossFamily : uint8_t
 {
-    kClockRaw,   //!< norec, norec-lazy (RawMem clock sandwich).
+    kClockRaw,    //!< norec, norec-lazy (RawMem clock).
     kClockEngine, //!< hy-norec, hy-norec-lazy, rh-norec.
-    kGlobalLock, //!< lock-elision (freeze-at-begin).
-    kTl2,        //!< tl2 (orec locks).
-    kRhTl2,      //!< rh-tl2 (orec versions + HTM lock).
+    kGlobalLock,  //!< lock-elision (globalLock).
+    kTl2,         //!< tl2 (token + orec 2PL).
+    kRhTl2,       //!< rh-tl2 (htmLock).
 };
 
 /**
@@ -99,7 +77,7 @@ enum class CrossFamily : uint8_t
  */
 constexpr unsigned kCrossOwnerBase = 1u << 20;
 
-class CrossShardPart final : public TxSession, public DomainCommitPart
+class CrossShardPart final : public TxSession
 {
   public:
     /**
@@ -114,35 +92,28 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     bool wrote() const { return !writes_.empty(); }
 
     // -----------------------------------------------------------------
-    // Attempt lifecycle (driven by the store's cross-txn coordinator).
+    // Lifecycle, driven by the store's coordinator.
 
     /**
-     * Start one attempt. Optimistic mode samples the family's snapshot
-     * (and freezes a global-lock shard, bounded -- may throw
-     * TxRestart); escalated mode takes the family's freeze with
-     * blocking waits (coordinator holds the store escalation mutex and
-     * calls parts in ascending domain order, so the blocking is
-     * deadlock-free).
+     * Enter the shard and take its family's freeze, blocking. The
+     * coordinator calls parts in ascending domain order, so the waits
+     * cannot deadlock. Every wait, here and in the body's TL2 orec
+     * locks, polls @p deadline and throws TxnDeadlineExceeded once it
+     * expires.
      */
-    void beginAttempt(bool escalated);
+    void freeze(DeadlineState &deadline);
 
-    /** Abort the attempt: drop any held freeze/locks, clear buffers. */
-    void rollbackAttempt();
+    /** Write back the buffered writes; engine-visible stores go
+     *  through @p window so every involved shard publishes at once. */
+    void publish(JointPublication &window);
 
-    /** Post-commit cleanup (buffers only; locks already released). */
-    void finishCommitted();
-
-    /** Escalated-mode release, called in descending domain order. */
-    void releaseEscalated();
-
-    // -----------------------------------------------------------------
-    // DomainCommitPart (optimistic two-phase commit).
-
-    uint64_t domainId() const override { return rt_.domain().id(); }
-    bool prepare() override;
-    void publish(JointPublication &window) override;
-    void releaseAdvance() override { unlockShard(/*published=*/true); }
-    void releaseRestore() override;
+    /**
+     * Drop whatever the part holds and leave the shard; a no-op on a
+     * part that was never frozen. @p published: the writes went out,
+     * so clocks and written orecs advance; otherwise they are
+     * restored. Called in descending domain order.
+     */
+    void release(bool published);
 
     // -----------------------------------------------------------------
     // TxSession. The coordinator, not the session, owns begin/commit;
@@ -151,10 +122,10 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     void begin(TxnHint hint) override { (void)hint; }
     void commit() override {}
     void becomeIrrevocable() override;
-    bool isIrrevocable() const override { return escalated_; }
+    bool isIrrevocable() const override { return false; }
     void onHtmAbort(const HtmAbort &abort) override { (void)abort; }
     void onRestart() override {}
-    void onUserAbort() override { rollbackAttempt(); }
+    void onUserAbort() override { release(/*published=*/false); }
     void onComplete() override {}
     const char *name() const override { return "cross-shard"; }
 
@@ -171,27 +142,18 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
                                 uint64_t value);
     static const TxDispatch kDispatch;
 
-    uint64_t readWord(const uint64_t *addr);
-    uint64_t readEscalated(const uint64_t *addr);
+    void waitSpin(unsigned iter);
     template <typename Mem>
-    uint64_t clockRead(const Mem &mem, const uint64_t *addr);
-
-    [[noreturn]] static void restart() { throw TxRestart{}; }
-
-    bool lockShard(bool blocking);
-    void unlockShard(bool published);
-    template <typename Mem>
-    bool lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
-                   bool blocking);
+    void lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock);
     template <typename Mem>
     void unlockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
                      bool advance);
-    bool lockWord(uint64_t *word, bool blocking);
+    void lockWord(uint64_t *word);
     void unlockWord();
-    bool lockTl2Orec(size_t idx, bool blocking, bool written);
-    void releaseTl2Owned(bool publishVersions);
-    void freezeBlocking();
+    void lockToken();
     void releaseToken();
+    void lockTl2Orec(const uint64_t *addr, bool written);
+    void releaseTl2Owned(bool publishVersions);
 
     TmRuntime &rt_;
     ThreadCtx &ctx_;
@@ -207,17 +169,16 @@ class CrossShardPart final : public TxSession, public DomainCommitPart
     CommitSeqlock<RawMem> rawClock_;       //!< Family A.
     CommitSeqlock<EngineMem> engineClock_; //!< Family B.
 
-    ValueReadLog reads_;
     RedoBuffer writes_;
-    std::vector<OwnedOrec> owned_; //!< TL2 orecs this attempt holds.
+    std::vector<OwnedOrec> owned_; //!< TL2 orecs this transaction holds.
 
-    uint64_t snapshot_ = 0;  //!< Clock sample (rv / locked-at value).
+    DeadlineState *deadline_ = nullptr; //!< Polled by every wait.
+    uint64_t snapshot_ = 0;  //!< Clock value the seqlock was taken at.
     uint64_t *heldWord_ = nullptr; //!< Word lock held (C, E).
-    bool active_ = false;    //!< Attempt in flight (epoch slot held).
-    bool escalated_ = false;
+    bool active_ = false;    //!< Frozen or freezing (epoch slot held).
     bool clockHeld_ = false; //!< Clock seqlock held (families A/B).
     bool registered_ = false; //!< Counted in fallbacks (family B).
-    bool tokenHeld_ = false; //!< TL2 irrevocable token (escalated).
+    bool tokenHeld_ = false; //!< TL2 irrevocability token held.
 };
 
 } // namespace rhtm

@@ -261,10 +261,10 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
 {
     const std::vector<std::pair<unsigned, uint64_t>> &byShard =
         w.rmwByShard_;
-    // Involved shards, ordered by domain id (= lock acquisition and
-    // freeze order). byShard is sorted by shard index, and domain ids
-    // ascend with the shard index (see the constructor), so the shards
-    // come out in domain order as they are deduplicated.
+    // Involved shards, ordered by domain id (= freeze order). byShard
+    // is sorted by shard index, and domain ids ascend with the shard
+    // index (see the constructor), so the shards come out in domain
+    // order as they are deduplicated.
     std::vector<std::pair<CrossShardPart *, unsigned>> &order =
         w.crossOrder_;
     order.clear();
@@ -272,12 +272,6 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
         (void)key;
         if (order.empty() || order.back().second != s)
             order.emplace_back(w.parts_[s].get(), s);
-    }
-    std::vector<DomainCommitPart *> &parts = w.crossParts_;
-    parts.clear();
-    for (const auto &[p, s] : order) {
-        (void)s;
-        parts.push_back(p);
     }
 
     TmRuntime &rt0 = order.front().first->runtime();
@@ -293,101 +287,76 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
     if (observer_ != nullptr)
         observer_->onTxnBegin(w.id());
 
-    using Clock = std::chrono::steady_clock;
-    const bool hasDeadline = opts.deadline.count() > 0;
-    const Clock::time_point deadlineAt = Clock::now() + opts.deadline;
+    DeadlineState &deadline = ctx0.deadlineState();
+    if (opts.deadline.count() > 0)
+        deadline.arm(DeadlineState::Clock::now() + opts.deadline);
+    // Release in reverse domain order, then run each shard's abort
+    // actions: nothing was published.
+    auto rollback = [&]() {
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            it->first->release(/*published=*/false);
+            ThreadCtx &ctx = *w.ctxs_[it->second];
+            ctx.actions().runAbort(ctx.mem(), &ctx.mutableStats());
+        }
+        deadline.disarm();
+    };
 
     StoreOpRecord rec;
     rec.worker = w.id();
-    TxnOutcome result = TxnOutcome::kCommitted;
-    unsigned attempts = 0;
-
-    auto rollbackAll = [&]() {
+    try {
+        deadline.pollNow(); // Expired before the first freeze?
         for (auto &[p, s] : order) {
-            p->rollbackAttempt();
-            ThreadCtx &ctx = *w.ctxs_[s];
-            ctx.actions().runAbort(ctx.mem(), &ctx.mutableStats());
-        }
-    };
-
-    for (;;) {
-        if (hasDeadline && Clock::now() >= deadlineAt) {
-            ctx0.mutableStats().inc(Counter::kDeadlineExceeded);
-            result = TxnOutcome::kDeadlineExceeded;
-            break;
-        }
-        const bool escalated = attempts >= cfg_.rmwMaxAttempts;
-        std::unique_lock<std::mutex> esc(escalationLock_,
-                                         std::defer_lock);
-        if (escalated)
-            esc.lock();
-        rec.reads.clear();
-        rec.writes.clear();
-        try {
-            // Begin in ascending domain order (matters for escalated
-            // blocking freezes; harmless otherwise).
-            for (auto &[p, s] : order) {
-                w.ctxs_[s]->actions().clear();
-                p->beginAttempt(escalated);
-            }
-            for (auto &[p, s] : order) {
-                ThreadCtx &ctx = *w.ctxs_[s];
-                Txn tx(p, &ctx.mem(), ctx.tid(), &ctx.actions());
-                for (const auto &[ks, key] : byShard) {
-                    if (ks != s)
-                        continue;
-                    bool f = false;
-                    uint64_t next =
-                        data_[s]->values.addTo(tx, key, delta, &f);
-                    if (observer_ == nullptr)
-                        continue;
-                    if (f && !alreadyWrote(rec, key))
-                        rec.reads.emplace_back(key, next - delta);
-                    rec.writes.emplace_back(key, next);
-                }
-            }
-        } catch (const TxRestart &) {
-            rollbackAll();
-            ctx0.mutableStats().inc(Counter::kCrossShardRestarts);
-            ++attempts;
-            continue;
-        } catch (...) {
-            rollbackAll();
-            throw;
-        }
-
-        bool committed;
-        if (escalated) {
-            // Frozen since beginAttempt: nothing to validate.
-            publishJointly(parts);
-            for (auto it = order.rbegin(); it != order.rend(); ++it)
-                it->first->releaseEscalated();
-            ctx0.mutableStats().inc(Counter::kCrossShardEscalations);
-            committed = true;
-        } else {
-            committed = multiDomainCommit(parts);
-        }
-        if (!committed) {
-            rollbackAll();
-            ctx0.mutableStats().inc(Counter::kCrossShardRestarts);
-            ++attempts;
-            continue;
+            w.ctxs_[s]->actions().clear();
+            p->freeze(deadline);
         }
         for (auto &[p, s] : order) {
-            p->finishCommitted();
             ThreadCtx &ctx = *w.ctxs_[s];
-            ctx.actions().runCommit(ctx.mem(), &ctx.mutableStats());
+            Txn tx(p, &ctx.mem(), ctx.tid(), &ctx.actions());
+            for (const auto &[ks, key] : byShard) {
+                if (ks != s)
+                    continue;
+                bool f = false;
+                uint64_t next = data_[s]->values.addTo(tx, key, delta, &f);
+                if (observer_ == nullptr)
+                    continue;
+                if (f && !alreadyWrote(rec, key))
+                    rec.reads.emplace_back(key, next - delta);
+                rec.writes.emplace_back(key, next);
+            }
         }
-        ctx0.mutableStats().inc(Counter::kCrossShardCommits);
-        ctx0.mutableStats().inc(Counter::kOperations);
-        break;
+    } catch (const TxnDeadlineExceeded &) {
+        rollback();
+        ctx0.mutableStats().inc(Counter::kDeadlineExceeded);
+        if (gate != nullptr)
+            gate->onOutcome(false);
+        return TxnOutcome::kDeadlineExceeded;
+    } catch (...) {
+        rollback();
+        throw;
     }
+    deadline.disarm();
 
+    {
+        JointPublication window;
+        for (auto &[p, s] : order) {
+            (void)s;
+            p->publish(window);
+        }
+    }
+    for (auto it = order.rbegin(); it != order.rend(); ++it)
+        it->first->release(/*published=*/true);
+    for (auto &[p, s] : order) {
+        (void)p;
+        ThreadCtx &ctx = *w.ctxs_[s];
+        ctx.actions().runCommit(ctx.mem(), &ctx.mutableStats());
+    }
+    ctx0.mutableStats().inc(Counter::kCrossShardCommits);
+    ctx0.mutableStats().inc(Counter::kOperations);
     if (gate != nullptr)
-        gate->onOutcome(result == TxnOutcome::kCommitted);
-    if (result == TxnOutcome::kCommitted && observer_ != nullptr)
+        gate->onOutcome(true);
+    if (observer_ != nullptr)
         observer_->onTxnCommit(rec);
-    return result;
+    return TxnOutcome::kCommitted;
 }
 
 StatsSummary

@@ -24,21 +24,19 @@
  * Single-shard operations (get / put / scan) run as ordinary native
  * transactions on the owning shard, with the full per-shard machinery
  * (fast paths, fallback, deadlines, admission). Multi-key RMWs whose
- * keys span shards run as cross-shard transactions: per-shard
- * CrossShardPart sessions read optimistically under each shard's
- * protocol and commit through multiDomainCommit() -- shards' commit
- * locks acquired in ascending domain-id order, each shard's read log
- * revalidated under its lock, writes published, locks released in
- * reverse. Repeated validation failure escalates to a store-serialized
- * frozen mode that cannot fail.
+ * keys span shards run as cross-shard transactions: the per-shard
+ * CrossShardPart sessions freeze their shards in ascending domain-id
+ * order (each family's blocking exclusion), the body reads directly,
+ * every part publishes through one joint window, and the parts
+ * release in reverse. One attempt, no restart: only a deadline can
+ * unwind it.
  *
  * Range scans are per-shard operations: keys hash across shards, so a
  * key-range scan addresses one shard's ordered index (the OLTP loop
  * picks a shard and scans its slice). A store-wide scan is a loop over
  * shards and is NOT atomic across them; the rb-tree index is only ever
  * mutated by native single-shard transactions (cross-shard bodies
- * touch the hash map alone), which keeps cross-shard read validation
- * value-based and structure-free.
+ * touch the hash map alone).
  *
  * History checking hooks in through StoreObserver WITHOUT this layer
  * depending on src/check: the store reports committed operations as
@@ -77,12 +75,6 @@ struct StoreConfig
 
     /** log2 of each shard's hash-map bucket count. */
     unsigned hashBucketsLog2 = 14;
-
-    /**
-     * Optimistic cross-shard commit attempts before the RMW escalates
-     * to the store-serialized frozen mode.
-     */
-    unsigned rmwMaxAttempts = 8;
 };
 
 /** Per-request bounds (mirrors TxnOptions for store operations). */
@@ -146,12 +138,11 @@ class StoreWorker
     std::vector<std::unique_ptr<CrossShardPart>> parts_;
     // Per-call scratch, reused so a steady-state operation allocates
     // nothing: scan()'s index entries, multiRmw()'s (shard, key) list,
-    // and a cross-shard RMW's involved parts in domain order (with
-    // their shards, and as the commit protocol's participant list).
+    // and a cross-shard RMW's involved parts (with their shards) in
+    // domain order.
     std::vector<std::pair<int64_t, int64_t>> scanEntries_;
     std::vector<std::pair<unsigned, uint64_t>> rmwByShard_;
     std::vector<std::pair<CrossShardPart *, unsigned>> crossOrder_;
-    std::vector<DomainCommitPart *> crossParts_;
 };
 
 class ShardedStore
@@ -205,9 +196,8 @@ class ShardedStore
     /**
      * Atomically add @p delta to every key in @p keys (duplicates
      * allowed; applied once per occurrence). Keys on one shard commit
-     * natively; keys spanning shards commit through the cross-shard
-     * two-phase protocol, escalating after cfg.rmwMaxAttempts failed
-     * optimistic attempts.
+     * natively; keys spanning shards freeze the involved shards in
+     * domain order and commit once (opts.deadline bounds the waits).
      */
     TxnOutcome multiRmw(StoreWorker &w,
                         const std::vector<uint64_t> &keys,
@@ -256,7 +246,6 @@ class ShardedStore
     std::vector<std::unique_ptr<Shard>> data_;
     std::vector<std::unique_ptr<StoreWorker>> workers_;
     std::mutex registerLock_;
-    std::mutex escalationLock_; //!< Serializes escalated cross-RMWs.
     StoreObserver *observer_ = nullptr;
 };
 

@@ -118,8 +118,14 @@ echo "== store: saturation sweep, 1 shard vs 4 shards =="
 # Disjoint-key scaling cells. On hosts with >= 4 hardware threads the
 # binary enforces that 4 shards out-throughput 1 shard at 8 worker
 # threads; on smaller hosts it reports the cells without enforcing.
-build/bench/bench_store --threads=1,8 --shards=1,4 \
-    --algos=rh-norec,norec,tl2 --ops=2000 --check=off --seed=1
+# Its millisecond cells flip between runs (ROADMAP item 2), so a
+# failure is recorded here and reported at the end: the crash,
+# ASan and TSan legs below still run.
+FAILED_LEG=""
+if ! build/bench/bench_store --threads=1,8 --shards=1,4 \
+        --algos=rh-norec,norec,tl2 --ops=2000 --check=off --seed=1; then
+    FAILED_LEG="store saturation sweep"
+fi
 
 echo "== crash-recovery: 3-seed sweep, every AlgoKind x site =="
 for seed in 1 2 3; do
@@ -150,8 +156,6 @@ echo "== ASan leg: recovery replay, HTM tracking tables, store scan index, fault
 # error too; structures_tests and store_tests cover it. The fault
 # injector's per-site tables (rule lists, inline draw thresholds) are
 # indexed by site, and fault_tests drives every path through them.
-# The store's concurrent history check is left out here because it
-# can hang (ROADMAP item 3); tier-1 still runs it.
 cmake -B build-asan -S . -DRHTM_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$(nproc)" \
     --target bench_crash persist_tests htm_tests core_tests \
@@ -161,8 +165,7 @@ build-asan/tests/persist_tests
 build-asan/tests/htm_tests
 build-asan/tests/core_tests
 build-asan/tests/structures_tests
-build-asan/tests/store_tests \
-    --gtest_filter='-*ConcurrentHistoriesAreStrictlySerializable*'
+build-asan/tests/store_tests
 build-asan/bench/bench_crash --threads=1,2 --algos=all --ops=80 \
     --crash-seed=5 --torn
 
@@ -188,17 +191,19 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     echo "== TSan HTM + store leg: stamp reads, joint publication =="
     # A simulated-HTM read loads the value and then checks the
     # sequence (value-then-seq ordering), and a cross-shard commit
-    # nests several engines' publish mutexes in one joint window. The
-    # store's concurrent history check is left out, as in the ASan
-    # leg, because it can hang (ROADMAP item 3).
+    # nests several engines' publish mutexes in one joint window.
     build-tsan/tests/htm_tests
-    build-tsan/tests/store_tests \
-        --gtest_filter='-*ConcurrentHistoriesAreStrictlySerializable*'
-    echo "== TSan cross-shard leg: lock and unlock paths, repeated =="
-    # The cross-shard part's lock routines (clock seqlock, word lock,
-    # orecs, fallback registration) and their unlocks, three times over.
+    build-tsan/tests/store_tests
+    echo "== TSan cross-shard leg: freeze and release paths, repeated =="
+    # The cross-shard part's freezes (clock seqlock, word lock, TL2
+    # token and orecs, fallback registration) and their releases,
+    # three times over.
     build-tsan/tests/store_tests \
         --gtest_filter='*CrossShard*:*FamilyB*' --gtest_repeat=3
 fi
 
+if [ -n "$FAILED_LEG" ]; then
+    echo "ci gate FAILED: $FAILED_LEG" >&2
+    exit 1
+fi
 echo "ci gate passed"
