@@ -127,6 +127,14 @@ class ThreadCtx
     /** This thread's session (exposed for white-box tests). */
     TxSession &session() { return *session_; }
 
+    /**
+     * This thread's simulated hardware transaction. The sharded
+     * store's cross-shard hardware attempts run on it, outside
+     * runWith(); it is idle whenever no transaction of this context
+     * runs.
+     */
+    HtmTxn &htm() { return *htm_; }
+
     /** This thread's memory arena. */
     ThreadMem &mem() { return *mem_; }
 

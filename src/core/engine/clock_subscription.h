@@ -43,6 +43,28 @@ htmEarlySubscribe(HtmTxn &htm, const uint64_t *word)
 }
 
 /**
+ * Algorithm 1's commit rule for a hardware writer (Section 2.3): with
+ * no slow path live it commits as is; otherwise it subscribes to the
+ * clock and serial lock, aborts while a software writeback is in
+ * flight (clock locked or serial lock held), and bumps the clock
+ * inside the transaction so the live slow paths revalidate. Call just
+ * before the writer's commit; every hardware writer on a NOrec-family
+ * domain goes through this one rule.
+ */
+inline void
+htmWriterCommitCheck(HtmTxn &htm, TmGlobals &g)
+{
+    if (htm.read(&g.fallbacks) > 0) {
+        uint64_t clock = htm.read(&g.clock);
+        if (clockIsLocked(clock))
+            htm.abortExplicit();
+        if (htm.read(&g.serialLock) != 0)
+            htm.abortExplicit();
+        htm.write(&g.clock, clock + 2);
+    }
+}
+
+/**
  * Spin out a writer's lock bit with a caller-chosen wait strategy
  * (Backoff::pause for the pure STMs, StallAwareWaiter::step for the
  * hybrids) and return an unlocked clock value.

@@ -259,9 +259,8 @@ struct SessionCore
 
     /**
      * Commit the hardware fast path: read-only commits are free; a
-     * writer commits only if no software writeback is in flight (clock
-     * unlocked, serial lock clear) and bumps the clock inside the
-     * hardware transaction iff any slow path is live to observe it.
+     * writer commits under htmWriterCommitCheck (no software writeback
+     * in flight; the clock bumped iff a slow path is live to see it).
      */
     void
     fastCommitNOrec()
@@ -271,14 +270,7 @@ struct SessionCore
             count(Counter::kReadOnlyCommits);
             return;
         }
-        if (htm.read(&g.fallbacks) > 0) {
-            uint64_t clock = htm.read(&g.clock);
-            if (clockIsLocked(clock))
-                htm.abortExplicit();
-            if (htm.read(&g.serialLock) != 0)
-                htm.abortExplicit();
-            htm.write(&g.clock, clock + 2);
-        }
+        htmWriterCommitCheck(htm, g);
         htm.commit();
     }
 

@@ -86,18 +86,23 @@ JointPublication::~JointPublication()
 }
 
 void
-JointPublication::store(HtmEngine &eng, uint64_t *addr, uint64_t value)
+JointPublication::join(HtmEngine &eng)
 {
     // Only engines this window holds are walked: their jointNext_ is
     // ours to read.
-    HtmEngine *e = head_;
-    while (e != nullptr && e != &eng)
-        e = e->jointNext_;
-    if (e == nullptr) {
-        eng.jointStamp_ = eng.openWindow();
-        eng.jointNext_ = head_;
-        head_ = &eng;
+    for (HtmEngine *e = head_; e != nullptr; e = e->jointNext_) {
+        if (e == &eng)
+            return;
     }
+    eng.jointStamp_ = eng.openWindow();
+    eng.jointNext_ = head_;
+    head_ = &eng;
+}
+
+void
+JointPublication::store(HtmEngine &eng, uint64_t *addr, uint64_t value)
+{
+    join(eng);
     eng.publishWord(addr, value, eng.jointStamp_);
 }
 

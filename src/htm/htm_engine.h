@@ -190,13 +190,13 @@ class HtmEngine
  * needs without raising any lock word hardware transactions
  * subscribe to.
  *
- * store() joins an engine (takes its publish mutex, makes its sequence
- * odd) the first time it is named. Every caller that joins more than
- * one engine must join them in one global order -- cross-shard
- * commits join in ascending domain id -- or two joint publications
- * could deadlock; single-engine publishers hold one mutex at a time
- * and never wait inside it, so they cannot complete a cycle. No
- * scheduling point may run while a window is open
+ * join() -- and store(), the first time it names an engine -- takes
+ * the engine's publish mutex and makes its sequence odd. Every caller
+ * that joins more than one engine must join them in one global order
+ * -- cross-shard commits join in ascending domain id -- or two joint
+ * publications could deadlock; single-engine publishers hold one
+ * mutex at a time and never wait inside it, so they cannot complete a
+ * cycle. No scheduling point may run while a window is open
  * (src/util/sched_point.h), so callers keep the window's lifetime to
  * the stores themselves.
  */
@@ -208,6 +208,9 @@ class JointPublication
 
     JointPublication(const JointPublication &) = delete;
     JointPublication &operator=(const JointPublication &) = delete;
+
+    /** Open @p eng's window unless this publication holds it already. */
+    void join(HtmEngine &eng);
 
     /** Publish @p value at @p addr in @p eng's window (joined first if
      *  this publication has not joined @p eng yet). */

@@ -196,7 +196,6 @@ uint64_t
 HtmTxn::readAcrossPublication(const uint64_t *addr)
 {
     ++revalidations_;
-    auto ref = std::atomic_ref<const uint64_t>(*addr);
     for (;;) {
         const uint64_t s1 = eng_.seq();
         if (s1 & 1) {
@@ -211,7 +210,10 @@ HtmTxn::readAcrossPublication(const uint64_t *addr)
             if (eng_.stripeStamp(stripe) > lastSeq_)
                 fail(HtmAbortCause::kConflict, true);
         }
-        const uint64_t val = ref.load(std::memory_order_acquire);
+        const uint64_t val =
+            addr == nullptr ? 0
+                            : std::atomic_ref<const uint64_t>(*addr).load(
+                                  std::memory_order_acquire);
         if (eng_.seq() == s1) {
             lastSeq_ = s1;
             return val;
@@ -270,6 +272,64 @@ HtmTxn::commit()
         });
     }
     resetState();
+}
+
+void
+HtmTxn::jointAccessCheck(HtmTxn *const *parts, size_t n)
+{
+    size_t readLines = 0;
+    size_t writeLines = 0;
+    size_t readCap = SIZE_MAX;
+    size_t writeCap = SIZE_MAX;
+    for (size_t i = 0; i < n; ++i) {
+        HtmTxn &part = *parts[i];
+        assert(part.active_);
+        if (part.eng_.seq() != part.lastSeq_)
+            part.readAcrossPublication(nullptr);
+        readLines += part.readLines_.size();
+        writeLines += part.writeLines_.size();
+        readCap = std::min(readCap, part.effReadCap_);
+        writeCap = std::min(writeCap, part.effWriteCap_);
+    }
+    if (readLines > readCap || writeLines > writeCap)
+        parts[0]->fail(HtmAbortCause::kCapacity, false);
+}
+
+void
+HtmTxn::commitJoint(HtmTxn *const *parts, size_t n)
+{
+    try {
+        // Scheduling points and the pre-commit sites come first: no
+        // window may be open while the explorer can park this thread.
+        for (size_t i = 0; i < n; ++i) {
+            assert(parts[i]->active_);
+            schedPoint(SchedPoint::kHtmCommit);
+            parts[i]->faultPoint(FaultSite::kPreCommit);
+        }
+        JointPublication window;
+        for (size_t i = 0; i < n; ++i)
+            window.join(parts[i]->eng_);
+        for (size_t i = 0; i < n; ++i) {
+            HtmTxn &part = *parts[i];
+            for (uint32_t stripe : part.readLog_) {
+                if (part.eng_.stripeStamp(stripe) > part.lastSeq_)
+                    part.fail(HtmAbortCause::kConflict, true);
+            }
+        }
+        for (size_t i = 0; i < n; ++i) {
+            HtmTxn &part = *parts[i];
+            part.faultPoint(FaultSite::kPublishWindow);
+            part.writes_.forEach([&](uint64_t *addr, uint64_t value) {
+                window.store(part.eng_, addr, value);
+            });
+        }
+    } catch (const HtmAbort &) {
+        for (size_t i = 0; i < n; ++i)
+            parts[i]->resetState();
+        throw;
+    }
+    for (size_t i = 0; i < n; ++i)
+        parts[i]->resetState();
 }
 
 void

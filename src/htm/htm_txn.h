@@ -72,6 +72,35 @@ class HtmTxn
      */
     void commit();
 
+    // -----------------------------------------------------------------
+    // Multi-engine transactions. One hardware transaction whose lines
+    // live in several engines (a cross-shard store RMW) runs as one
+    // HtmTxn per engine, its parts: each is begun on its own and used
+    // through read()/write(), and the parts are always named in one
+    // global order (ascending domain id). The two calls below make
+    // them one transaction, as one RTM transaction over the lines of
+    // every engine would be. An abort thrown by any call on any part
+    // ends the whole transaction: the caller cancel()s every part.
+
+    /**
+     * Call after each access of a part. Re-validates every part whose
+     * engine published since its snapshot, so the body never sees two
+     * engines' memory at different instants (opacity across engines),
+     * and aborts with kCapacity once the parts' distinct lines
+     * together exceed the tightest part's capacity: one transaction's
+     * capacity, not one per part.
+     */
+    static void jointAccessCheck(HtmTxn *const *parts, size_t n);
+
+    /**
+     * Commit the parts as one transaction: open every engine's publish
+     * window in the given order, validate every part's read log, then
+     * publish every part's writes and close the windows, so each
+     * engine's readers see all of the writes or none. A failed
+     * validation aborts (kConflict, retryable) and resets every part.
+     */
+    static void commitJoint(HtmTxn *const *parts, size_t n);
+
     /** Explicitly abort with a user @p code (throws HtmAbort). */
     [[noreturn]] void abortExplicit(uint8_t code = 0);
 
@@ -157,8 +186,9 @@ class HtmTxn
 
     /**
      * read()'s path when a publication intervened since lastSeq_: wait
-     * for an even sequence, re-validate the read log, load @p addr,
-     * and adopt the window if it stayed stable.
+     * for an even sequence, re-validate the read log, load @p addr
+     * (none when null; the result is then 0), and adopt the window if
+     * it stayed stable.
      */
     uint64_t readAcrossPublication(const uint64_t *addr);
 

@@ -62,9 +62,9 @@ enum class Counter : unsigned
     kDeadlineExceeded,      //!< Transactions unwound at their deadline.
     kAdmissionShed,         //!< Transactions shed by the admission gate.
     kAdmissionQueuedTicks,  //!< Wait iterations spent queued at the gate.
-    kCrossShardCommits,     //!< Multi-domain transactions committed.
-    kCrossShardRestarts,    //!< Stays 0: a cross commit runs once.
-    kCrossShardEscalations, //!< Stays 0: freezing is the only mode.
+    kCrossShardCommits,     //!< Multi-domain txns committed (any path).
+    kCrossShardRestarts,    //!< Hardware cross attempts aborted, retried.
+    kCrossShardEscalations, //!< Cross txns sent from hardware to freeze.
     kRevalidations,         //!< Full value-log revalidations run.
     kRevalidationsSkipped,  //!< Revalidations skipped via the filter ring.
     kTsExtensions,          //!< Eager-path timestamp extensions taken.

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "src/core/engine/clock_subscription.h"
 #include "src/core/engine/globals.h"
 
 namespace rhtm
@@ -44,10 +45,13 @@ constexpr unsigned kWriteIndexLog2 = 4;
 const TxDispatch CrossShardPart::kDispatch = {
     &CrossShardPart::readDispatchFn, &CrossShardPart::writeDispatchFn};
 
+const TxDispatch CrossShardPart::kHtmDispatch = {
+    &CrossShardPart::htmReadFn, &CrossShardPart::htmWriteFn};
+
 CrossShardPart::CrossShardPart(TmRuntime &rt, ThreadCtx &ctx,
                                unsigned ownerId)
     : rt_(rt), ctx_(ctx), eng_(rt.engine()), g_(rt.globals()),
-      tl2_(rt.tl2Globals()), rhTl2_(rt.rhTl2Globals()),
+      htm_(ctx.htm()), tl2_(rt.tl2Globals()), rhTl2_(rt.rhTl2Globals()),
       family_(crossFamilyOf(rt.kind())), ownerId_(ownerId),
       engine_(eng_), rawClock_(raw_, &g_.clock),
       engineClock_(engine_, &g_.clock, &g_.watchdog.clockEpoch),
@@ -88,6 +92,23 @@ CrossShardPart::writeDispatchFn(void *self, uint64_t *addr,
     if (p->family_ == CrossFamily::kTl2)
         p->lockTl2Orec(addr, /*written=*/true);
     p->writes_.putGrowing(addr, value);
+}
+
+uint64_t
+CrossShardPart::htmReadFn(void *self, const uint64_t *addr)
+{
+    auto *p = static_cast<CrossShardPart *>(self);
+    const uint64_t value = p->htm_.read(addr);
+    HtmTxn::jointAccessCheck(p->jointParts_, p->jointCount_);
+    return value;
+}
+
+void
+CrossShardPart::htmWriteFn(void *self, uint64_t *addr, uint64_t value)
+{
+    auto *p = static_cast<CrossShardPart *>(self);
+    p->htm_.write(addr, value);
+    HtmTxn::jointAccessCheck(p->jointParts_, p->jointCount_);
 }
 
 void
@@ -256,6 +277,25 @@ CrossShardPart::releaseTl2Owned(bool publishVersions)
 }
 
 void
+CrossShardPart::beginHardware(HtmTxn *const *parts, size_t n)
+{
+    jointParts_ = parts;
+    jointCount_ = n;
+    rt_.memory().epochs().enterRegion(ctx_.tid());
+    active_ = true;
+    bindDispatch(kHtmDispatch, this);
+    htm_.begin();
+    htmEarlySubscribe(htm_, &g_.htmLock);
+}
+
+void
+CrossShardPart::commitCheck()
+{
+    if (!htm_.isReadOnly())
+        htmWriterCommitCheck(htm_, g_);
+}
+
+void
 CrossShardPart::freeze(DeadlineState &deadline)
 {
     writes_.clear();
@@ -263,6 +303,7 @@ CrossShardPart::freeze(DeadlineState &deadline)
     deadline_ = &deadline;
     rt_.memory().epochs().enterRegion(ctx_.tid());
     active_ = true;
+    bindDispatch(kDispatch, this);
     switch (family_) {
     case CrossFamily::kClockRaw:
         lockClock(raw_, rawClock_);
@@ -324,6 +365,8 @@ CrossShardPart::release(bool published)
 {
     if (!active_)
         return;
+    if (htm_.active())
+        htm_.cancel();
     switch (family_) {
     case CrossFamily::kClockRaw:
         unlockClock(raw_, rawClock_, published && wrote());

@@ -3,14 +3,24 @@
  * CrossShardPart: one shard's view of a cross-shard transaction.
  *
  * A cross-shard transaction runs one logical body over several
- * TmRuntimes at once. It has one commit mode: the coordinator
- * (ShardedStore::runCross) freezes every involved shard in ascending
- * domain-id order with its family's blocking exclusion, runs the body
- * with direct reads into a per-part RedoBuffer, publishes every part
- * through one JointPublication, and releases the parts in reverse
- * order. A frozen shard admits no native commit, so the body needs no
- * read log and the publication cannot fail. This class is a TxSession,
- * so Txn and the transactional containers work unchanged against it.
+ * TmRuntimes at once. The coordinator (ShardedStore::runCross) drives
+ * it in one of two modes, and this class is a TxSession in both, so
+ * Txn and the transactional containers work unchanged against it.
+ *
+ *  - Hardware (family B only, tried first): each part runs on the
+ *    worker's HtmTxn for its shard, begun and subscribed to htmLock
+ *    as a native fast path is, and the parts commit as one
+ *    multi-engine hardware transaction (HtmTxn::commitJoint) after
+ *    each writing part passes Algorithm 1's writer check
+ *    (htmWriterCommitCheck). Nothing is held while the body runs, so
+ *    native commits go on; a conflicting one aborts the attempt.
+ *  - Freeze (every family; family B's fallback): the coordinator
+ *    freezes every involved shard in ascending domain-id order with
+ *    its family's blocking exclusion, runs the body with direct reads
+ *    into a per-part RedoBuffer, publishes every part through one
+ *    JointPublication, and releases the parts in reverse order. A
+ *    frozen shard admits no native commit, so the body needs no read
+ *    log and the publication cannot fail.
  *
  * Families (by the shard's AlgoKind), and the freeze each takes:
  *
@@ -56,6 +66,7 @@
 #include "src/core/engine/commit_seqlock.h"
 #include "src/core/engine/journal.h"
 #include "src/core/engine/mem_access.h"
+#include "src/htm/htm_txn.h"
 
 namespace rhtm
 {
@@ -91,8 +102,30 @@ class CrossShardPart final : public TxSession
     ThreadCtx &threadCtx() { return ctx_; }
     bool wrote() const { return !writes_.empty(); }
 
+    /** This part's hardware transaction (the worker's, on this shard). */
+    HtmTxn &htm() { return htm_; }
+
+    /** True when the shard's family tries the hardware mode first. */
+    bool hardwareFirst() const
+    {
+        return family_ == CrossFamily::kClockEngine;
+    }
+
     // -----------------------------------------------------------------
     // Lifecycle, driven by the store's coordinator.
+
+    /**
+     * Enter the shard and begin this part of a multi-engine hardware
+     * transaction, subscribed to htmLock; @p parts lists every
+     * involved part's htm() in domain order, for the joint checks
+     * each access makes. Family B only. An HtmAbort from here, the
+     * body, commitCheck() or the joint commit ends the attempt, and
+     * the coordinator release()s every part.
+     */
+    void beginHardware(HtmTxn *const *parts, size_t n);
+
+    /** Algorithm 1's writer check, just before the joint commit. */
+    void commitCheck();
 
     /**
      * Enter the shard and take its family's freeze, blocking. The
@@ -108,10 +141,11 @@ class CrossShardPart final : public TxSession
     void publish(JointPublication &window);
 
     /**
-     * Drop whatever the part holds and leave the shard; a no-op on a
-     * part that was never frozen. @p published: the writes went out,
-     * so clocks and written orecs advance; otherwise they are
-     * restored. Called in descending domain order.
+     * Drop whatever the part holds (a live hardware transaction is
+     * cancelled) and leave the shard; a no-op on a part that was never
+     * begun or frozen. @p published: the writes went out, so clocks
+     * and written orecs advance; otherwise they are restored. Called
+     * in descending domain order.
      */
     void release(bool published);
 
@@ -141,6 +175,9 @@ class CrossShardPart final : public TxSession
     static void writeDispatchFn(void *self, uint64_t *addr,
                                 uint64_t value);
     static const TxDispatch kDispatch;
+    static uint64_t htmReadFn(void *self, const uint64_t *addr);
+    static void htmWriteFn(void *self, uint64_t *addr, uint64_t value);
+    static const TxDispatch kHtmDispatch;
 
     void waitSpin(unsigned iter);
     template <typename Mem>
@@ -159,6 +196,7 @@ class CrossShardPart final : public TxSession
     ThreadCtx &ctx_;
     HtmEngine &eng_;
     TmGlobals &g_;
+    HtmTxn &htm_;
     Tl2Globals *tl2_;
     RhTl2Globals *rhTl2_;
     CrossFamily family_;
@@ -171,11 +209,13 @@ class CrossShardPart final : public TxSession
 
     RedoBuffer writes_;
     std::vector<OwnedOrec> owned_; //!< TL2 orecs this transaction holds.
+    HtmTxn *const *jointParts_ = nullptr; //!< Hardware mode's parts.
+    size_t jointCount_ = 0;
 
     DeadlineState *deadline_ = nullptr; //!< Polled by every wait.
     uint64_t snapshot_ = 0;  //!< Clock value the seqlock was taken at.
     uint64_t *heldWord_ = nullptr; //!< Word lock held (C, E).
-    bool active_ = false;    //!< Frozen or freezing (epoch slot held).
+    bool active_ = false;    //!< Begun or frozen (epoch slot held).
     bool clockHeld_ = false; //!< Clock seqlock held (families A/B).
     bool registered_ = false; //!< Counted in fallbacks (family B).
     bool tokenHeld_ = false; //!< TL2 irrevocability token held.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "src/util/backoff.h"
+
 namespace rhtm
 {
 
@@ -290,25 +292,14 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
     DeadlineState &deadline = ctx0.deadlineState();
     if (opts.deadline.count() > 0)
         deadline.arm(DeadlineState::Clock::now() + opts.deadline);
-    // Release in reverse domain order, then run each shard's abort
-    // actions: nothing was published.
-    auto rollback = [&]() {
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            it->first->release(/*published=*/false);
-            ThreadCtx &ctx = *w.ctxs_[it->second];
-            ctx.actions().runAbort(ctx.mem(), &ctx.mutableStats());
-        }
-        deadline.disarm();
-    };
 
+    // The body runs on whichever mode the parts are in. The observer
+    // keeps only the attempt that commits.
     StoreOpRecord rec;
     rec.worker = w.id();
-    try {
-        deadline.pollNow(); // Expired before the first freeze?
-        for (auto &[p, s] : order) {
-            w.ctxs_[s]->actions().clear();
-            p->freeze(deadline);
-        }
+    auto body = [&]() {
+        rec.reads.clear();
+        rec.writes.clear();
         for (auto &[p, s] : order) {
             ThreadCtx &ctx = *w.ctxs_[s];
             Txn tx(p, &ctx.mem(), ctx.tid(), &ctx.actions());
@@ -324,19 +315,90 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
                 rec.writes.emplace_back(key, next);
             }
         }
+    };
+    // Release in reverse domain order, then run each shard's abort
+    // actions: nothing was published.
+    auto rollback = [&]() {
+        for (auto it = order.rbegin(); it != order.rend(); ++it) {
+            it->first->release(/*published=*/false);
+            ThreadCtx &ctx = *w.ctxs_[it->second];
+            ctx.actions().runAbort(ctx.mem(), &ctx.mutableStats());
+        }
+    };
+    // Family B first runs the RMW as one hardware transaction over
+    // every involved engine, retrying retryable aborts within the
+    // first shard's fast-path budget. A non-retryable abort, a spent
+    // budget or a tripped kill switch on any involved shard sends it
+    // to the freeze. Returns true once the joint commit went through.
+    auto commitInHardware = [&]() {
+        std::vector<HtmTxn *> &htms = w.crossHtm_;
+        htms.clear();
+        for (auto &[p, s] : order) {
+            (void)s;
+            htms.push_back(&p->htm());
+        }
+        const unsigned budget = rt0.config().retry.maxFastPathRetries;
+        Backoff backoff;
+        for (unsigned attempt = 1;; ++attempt) {
+            deadline.pollNow();
+            for (auto &[p, s] : order) {
+                (void)s;
+                TmRuntime &rt = p->runtime();
+                if (killSwitchBypass(rt.globals(), rt.config().retry))
+                    return false;
+            }
+            try {
+                for (auto &[p, s] : order) {
+                    w.ctxs_[s]->actions().clear();
+                    p->beginHardware(htms.data(), htms.size());
+                }
+                body();
+                for (auto &[p, s] : order) {
+                    (void)s;
+                    p->commitCheck();
+                }
+                HtmTxn::commitJoint(htms.data(), htms.size());
+                return true;
+            } catch (const HtmAbort &abort) {
+                rollback();
+                if (!abort.retryOk || attempt >= budget)
+                    return false;
+            }
+            ctx0.mutableStats().inc(Counter::kCrossShardRestarts);
+            backoff.pause();
+        }
+    };
+
+    bool inHardware = false;
+    try {
+        if (order.front().first->hardwareFirst()) {
+            inHardware = commitInHardware();
+            if (!inHardware)
+                ctx0.mutableStats().inc(Counter::kCrossShardEscalations);
+        }
+        if (!inHardware) {
+            deadline.pollNow(); // Expired before the first freeze?
+            for (auto &[p, s] : order) {
+                w.ctxs_[s]->actions().clear();
+                p->freeze(deadline);
+            }
+            body();
+        }
     } catch (const TxnDeadlineExceeded &) {
         rollback();
+        deadline.disarm();
         ctx0.mutableStats().inc(Counter::kDeadlineExceeded);
         if (gate != nullptr)
             gate->onOutcome(false);
         return TxnOutcome::kDeadlineExceeded;
     } catch (...) {
         rollback();
+        deadline.disarm();
         throw;
     }
     deadline.disarm();
 
-    {
+    if (!inHardware) {
         JointPublication window;
         for (auto &[p, s] : order) {
             (void)s;

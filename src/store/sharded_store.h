@@ -24,12 +24,15 @@
  * Single-shard operations (get / put / scan) run as ordinary native
  * transactions on the owning shard, with the full per-shard machinery
  * (fast paths, fallback, deadlines, admission). Multi-key RMWs whose
- * keys span shards run as cross-shard transactions: the per-shard
- * CrossShardPart sessions freeze their shards in ascending domain-id
- * order (each family's blocking exclusion), the body reads directly,
- * every part publishes through one joint window, and the parts
- * release in reverse. One attempt, no restart: only a deadline can
- * unwind it.
+ * keys span shards run as cross-shard transactions over per-shard
+ * CrossShardPart sessions. On the hybrid NOrec kinds (family B) the
+ * RMW first runs as one hardware transaction over every involved
+ * shard's engine, retried like a native fast path. Every other kind,
+ * and family B once its hardware attempts give up, freezes the
+ * involved shards in ascending domain-id order (each family's
+ * blocking exclusion): the body reads directly, every part publishes
+ * through one joint window, and the parts release in reverse. A
+ * frozen RMW makes one attempt: only a deadline can unwind it.
  *
  * Range scans are per-shard operations: keys hash across shards, so a
  * key-range scan addresses one shard's ordered index (the OLTP loop
@@ -139,10 +142,11 @@ class StoreWorker
     // Per-call scratch, reused so a steady-state operation allocates
     // nothing: scan()'s index entries, multiRmw()'s (shard, key) list,
     // and a cross-shard RMW's involved parts (with their shards) in
-    // domain order.
+    // domain order, plus their hardware transactions.
     std::vector<std::pair<int64_t, int64_t>> scanEntries_;
     std::vector<std::pair<unsigned, uint64_t>> rmwByShard_;
     std::vector<std::pair<CrossShardPart *, unsigned>> crossOrder_;
+    std::vector<HtmTxn *> crossHtm_; //!< crossOrder_'s hardware parts.
 };
 
 class ShardedStore
@@ -196,8 +200,10 @@ class ShardedStore
     /**
      * Atomically add @p delta to every key in @p keys (duplicates
      * allowed; applied once per occurrence). Keys on one shard commit
-     * natively; keys spanning shards freeze the involved shards in
-     * domain order and commit once (opts.deadline bounds the waits).
+     * natively; keys spanning shards commit as one multi-engine
+     * hardware transaction (family B) or freeze the involved shards
+     * in domain order and commit once (opts.deadline bounds the
+     * attempts and the waits).
      */
     TxnOutcome multiRmw(StoreWorker &w,
                         const std::vector<uint64_t> &keys,

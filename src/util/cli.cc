@@ -20,7 +20,7 @@ CliOptions::CliOptions(int argc, char **argv)
         std::string body = tok.substr(2);
         auto eq = body.find('=');
         if (eq == std::string::npos) {
-            values_[body] = "1";
+            values_[body].assign(1, '1');
         } else {
             values_[body.substr(0, eq)] = body.substr(eq + 1);
         }

@@ -277,7 +277,8 @@ TEST_P(AlgoTest, PrivatizationSafety)
                     tx.storePtr(&shared_box, &boxes[r]);
                 });
                 // Let mutators hammer the box transactionally.
-                for (volatile int spin = 0; spin < 2000; ++spin) {
+                for (volatile int spin = 0; spin < 2000;) {
+                    spin = spin + 1;
                 }
                 // Privatize: detach the box transactionally...
                 rt.run(ctx, [&](Txn &tx) {
@@ -287,7 +288,8 @@ TEST_P(AlgoTest, PrivatizationSafety)
                 // transactional write may land after this point.
                 uint64_t snapshot = rt.peek(&boxes[r].value);
                 rt.poke(&boxes[r].value, snapshot + 1000000);
-                for (volatile int spin = 0; spin < 2000; ++spin) {
+                for (volatile int spin = 0; spin < 2000;) {
+                    spin = spin + 1;
                 }
                 if (rt.peek(&boxes[r].value) != snapshot + 1000000)
                     violations.fetch_add(1);

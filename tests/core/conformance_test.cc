@@ -217,8 +217,9 @@ TEST_P(ConformanceTest, IrrevocableUpgradeGrantsExactlyOnce)
         // serial mode, where the global lock makes the body
         // irrevocable from its first statement -- so only the other
         // compositions start the (replayed) body revocable.
-        if (GetParam() != AlgoKind::kLockElision)
+        if (GetParam() != AlgoKind::kLockElision) {
             EXPECT_FALSE(tx.isIrrevocable()) << algo();
+        }
         tx.becomeIrrevocable();
         EXPECT_TRUE(tx.isIrrevocable()) << algo();
         tx.becomeIrrevocable(); // Idempotent on a granted transaction.

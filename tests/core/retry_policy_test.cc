@@ -162,8 +162,9 @@ TEST(ContentionManagerTest, DelaysDoubleWithJitterThenSaturate)
     for (int i = 0; i < 16; ++i) {
         uint32_t delay = cm.nextDelay(WaitCause::kConflict);
         EXPECT_LE(delay, 2048u);
-        if (delay != 0)
+        if (delay != 0) {
             EXPECT_GE(delay, 1024u);
+        }
     }
 }
 

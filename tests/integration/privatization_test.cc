@@ -54,7 +54,8 @@ TEST_P(PrivatizationTest, DetachedRegionSafeForPrivateUse)
                 rt.run(ctx, [&](Txn &tx) {
                     tx.storePtr(&shared, &regions[r]);
                 });
-                for (volatile int spin = 0; spin < 3000; ++spin) {
+                for (volatile int spin = 0; spin < 3000;) {
+                    spin = spin + 1;
                 }
                 // Privatize.
                 rt.run(ctx, [&](Txn &tx) {
@@ -69,7 +70,8 @@ TEST_P(PrivatizationTest, DetachedRegionSafeForPrivateUse)
                     dirty_reads.fetch_add(1);
                 rt.poke(&regions[r].a, a + 7);
                 rt.poke(&regions[r].b, b + 7);
-                for (volatile int spin = 0; spin < 3000; ++spin) {
+                for (volatile int spin = 0; spin < 3000;) {
+                    spin = spin + 1;
                 }
                 if (rt.peek(&regions[r].a) != a + 7 ||
                     rt.peek(&regions[r].b) != b + 7) {

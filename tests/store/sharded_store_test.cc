@@ -12,6 +12,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -43,6 +44,55 @@ configFor(AlgoKind kind, unsigned shards)
 }
 
 /**
+ * True for the kinds whose cross-shard RMWs try one multi-engine
+ * hardware transaction before they freeze (family B).
+ */
+bool
+hardwareFirst(AlgoKind kind)
+{
+    return kind == AlgoKind::kHybridNOrec ||
+           kind == AlgoKind::kHybridNOrecLazy || kind == AlgoKind::kRhNOrec;
+}
+
+/**
+ * Cross-shard counters after @p spanning cross-shard RMWs all
+ * committed: family B may restart hardware attempts and escalate some
+ * RMWs to the freeze; every other kind freezes at once and never
+ * restarts.
+ */
+void
+expectCrossCounters(ShardedStore &store, uint64_t spanning)
+{
+    const StatsSummary st = store.stats();
+    EXPECT_EQ(st.get(Counter::kCrossShardCommits), spanning);
+    if (hardwareFirst(store.config().kind)) {
+        EXPECT_LE(st.get(Counter::kCrossShardEscalations), spanning);
+        return;
+    }
+    EXPECT_EQ(st.get(Counter::kCrossShardRestarts), 0u);
+    EXPECT_EQ(st.get(Counter::kCrossShardEscalations), 0u);
+}
+
+/**
+ * A fault plan that caps every hardware transaction at @p lines read
+ * lines and @p lines write lines, from the first begin on.
+ */
+FaultPlan
+capacitySqueeze(size_t lines)
+{
+    FaultRule rule;
+    rule.site = FaultSite::kHtmBegin;
+    rule.kind = FaultKind::kCapacitySqueeze;
+    rule.maxFires = 1;
+    rule.squeezeReadLines = lines;
+    rule.squeezeWriteLines = lines;
+    rule.squeezeTxns = 0; // For ever.
+    FaultPlan plan;
+    plan.add(rule);
+    return plan;
+}
+
+/**
  * No cross-shard part left a coordination word behind: no HTM lock,
  * fallback registration, global lock, locked clock or TL2
  * irrevocability token on any shard.
@@ -57,8 +107,9 @@ expectShardsQuiescent(ShardedStore &store)
         EXPECT_EQ(rt.peek(&rt.globals().globalLock), 0u) << "shard " << s;
         EXPECT_FALSE(clockIsLocked(rt.peek(&rt.globals().clock)))
             << "shard " << s;
-        if (Tl2Globals *tl2 = rt.tl2Globals())
+        if (Tl2Globals *tl2 = rt.tl2Globals()) {
             EXPECT_EQ(tl2->irrevocableOwner().load(), 0u) << "shard " << s;
+        }
     }
 }
 
@@ -99,8 +150,9 @@ TEST_P(StoreAlgoTest, ScanReturnsOrderedShardResidents)
         uint64_t prev = 0;
         bool first = true;
         for (const auto &[key, value] : out) {
-            if (!first)
+            if (!first) {
                 EXPECT_GT(key, prev);
+            }
             first = false;
             prev = key;
             EXPECT_EQ(value, kSeedValue);
@@ -299,6 +351,7 @@ TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
         workers[t] = &store.registerWorker();
 
     std::vector<uint64_t> committed(kThreads, 0);
+    std::vector<uint64_t> spanning(kThreads, 0);
     SenseBarrier barrier(kThreads);
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < kThreads; ++t) {
@@ -313,9 +366,15 @@ TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
                     picked.insert(rng.nextBounded(kKeys));
                 std::vector<uint64_t> keys(picked.begin(),
                                            picked.end());
-                if (store.multiRmw(*workers[t], keys, 1) ==
+                std::set<unsigned> shards;
+                for (uint64_t key : keys)
+                    shards.insert(store.shardOf(key));
+                if (store.multiRmw(*workers[t], keys, 1) !=
                     TxnOutcome::kCommitted)
-                    ++committed[t];
+                    continue;
+                ++committed[t];
+                if (shards.size() > 1)
+                    ++spanning[t];
             }
         });
     }
@@ -337,18 +396,23 @@ TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
         sum += v;
     }
     EXPECT_EQ(sum, kKeys * kSeedValue + totalCommitted * 3);
-    // Frozen shards admit no conflicting commit: every cross-shard RMW
-    // commits on its one attempt.
-    EXPECT_EQ(store.stats().get(Counter::kCrossShardRestarts), 0u);
-    EXPECT_EQ(store.stats().get(Counter::kCrossShardEscalations), 0u);
+    // Frozen shards admit no conflicting commit, so a freeze-only kind
+    // commits every cross-shard RMW on its one attempt; family B
+    // retries in hardware and escalates some RMWs to the freeze.
+    uint64_t totalSpanning = 0;
+    for (uint64_t s : spanning)
+        totalSpanning += s;
+    EXPECT_GT(totalSpanning, 0u);
+    expectCrossCounters(store, totalSpanning);
     expectShardsQuiescent(store);
 }
 
 TEST_P(StoreAlgoTest, EscalatedCrossShardRmwPreservesSum)
 {
-    // Every cross-shard RMW runs frozen (blocking freezes in domain
-    // order, one joint publication): each one commits, and each RMW
-    // whose keys span more than one shard counts one cross commit.
+    // Every cross-shard RMW commits, in hardware (family B) or frozen
+    // (blocking freezes in domain order, one joint publication), and
+    // each RMW whose keys span more than one shard counts one cross
+    // commit on whichever path it took.
     const unsigned kThreads = 2;
     const unsigned kOpsPerThread = 40;
     const uint64_t kKeys = 24;
@@ -396,9 +460,7 @@ TEST_P(StoreAlgoTest, EscalatedCrossShardRmwPreservesSum)
     for (uint64_t s : spanning)
         totalSpanning += s;
     EXPECT_GT(totalSpanning, 0u);
-    EXPECT_EQ(store.stats().get(Counter::kCrossShardCommits), totalSpanning);
-    EXPECT_EQ(store.stats().get(Counter::kCrossShardRestarts), 0u);
-    EXPECT_EQ(store.stats().get(Counter::kCrossShardEscalations), 0u);
+    expectCrossCounters(store, totalSpanning);
     expectShardsQuiescent(store);
 }
 
@@ -446,7 +508,10 @@ TEST_P(StoreAlgoTest, CrossShardRmwOutgrowsWriteIndex)
 // freeze word itself, so the RMW freezes shard 0 and then waits on
 // shard 1 until its 2 ms budget runs out. It must report the deadline,
 // change no value, and leave both shards quiescent once the word is
-// let go.
+// let go. On family B the test holds what a slow-path writer holds, a
+// fallback registration and then the clock lock: the RMW's hardware
+// attempts then abort at commit under Algorithm 1's rule, and its
+// freeze waits.
 TEST_P(StoreAlgoTest, CrossShardFreezeHonoursDeadline)
 {
     ShardedStore store(configFor(GetParam(), 2));
@@ -474,11 +539,17 @@ TEST_P(StoreAlgoTest, CrossShardFreezeHonoursDeadline)
         heldFrom = rt.peek(word);
         break;
     }
+    const bool registers = hardwareFirst(GetParam());
     auto hold = [&](bool held) {
+        // Register before locking; unlock before deregistering.
+        if (registers && held)
+            rt.poke(&g.fallbacks, 1);
         if (word != nullptr)
             rt.poke(word, heldFrom + (held ? 1 : 0));
         else
             rt.tl2Globals()->irrevocableOwner().store(held ? 1 : 0);
+        if (registers && !held)
+            rt.poke(&g.fallbacks, 0);
     };
     hold(true);
     // A freeze that ignored its deadline would wait for ever: let go
@@ -636,10 +707,33 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
+/** Records every scheduling point the calling thread passes. */
+class RecordingClient final : public SchedClient
+{
+  public:
+    void
+    schedYield(SchedPoint point, const void *addr, bool) override
+    {
+        steps.emplace_back(point, addr);
+    }
+
+    bool
+    saw(SchedPoint point, const void *addr) const
+    {
+        for (const auto &[p, a] : steps)
+            if (p == point && a == addr)
+                return true;
+        return false;
+    }
+
+    std::vector<std::pair<SchedPoint, const void *>> steps;
+};
+
 // ---------------------------------------------------------------------
-// Family B (hy-norec, hy-norec-lazy, rh-norec): a cross-shard commit
-// registers as a fallback and locks the clock instead of raising the
-// HTM lock, and publishes every shard in one joint window.
+// Family B (hy-norec, hy-norec-lazy, rh-norec): a cross-shard RMW runs
+// first as one hardware transaction over the involved shards' engines.
+// Its fallback registers as a fallback and locks the clock instead of
+// raising the HTM lock, and publishes every shard in one joint window.
 
 class StoreFamilyBTest : public ::testing::TestWithParam<AlgoKind>
 {
@@ -701,6 +795,8 @@ class LockstepClient final : public SchedClient
     schedYield(SchedPoint, const void *, bool) override
     {
         std::unique_lock<std::mutex> lock(m_);
+        if (freeRun_)
+            return;
         parked_ = true;
         cv_.notify_all();
         cv_.wait(lock, [&] { return !parked_; });
@@ -731,11 +827,22 @@ class LockstepClient final : public SchedClient
         cv_.notify_all();
     }
 
+    /** Resume the thread and stop parking it. */
+    void
+    runFree()
+    {
+        std::lock_guard<std::mutex> lock(m_);
+        freeRun_ = true;
+        parked_ = false;
+        cv_.notify_all();
+    }
+
   private:
     std::mutex m_;
     std::condition_variable cv_;
     bool parked_ = false;
     bool done_ = false;
+    bool freeRun_ = false;
 };
 
 // Cross-shard atomic visibility for hardware readers, which subscribe
@@ -796,6 +903,249 @@ TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
     EXPECT_GT(steps, 4u) << "the commit must be observed step by step";
 }
 
+// With nothing in its way a cross-shard RMW commits in hardware: no
+// freeze (no seqlock transition on either clock), no registration
+// left behind, and no clock bump, since Algorithm 1 bumps the clock
+// only while a fallback is registered. The commit counts as a cross
+// commit, not as a native fast-path commit.
+TEST_P(StoreFamilyBTest, CrossShardRmwCommitsInHardware)
+{
+    ShardedStore store(configFor(GetParam(), 2));
+    StoreWorker &w = store.registerWorker();
+    const std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                                     store.keyForShard(1, 1)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(w, key, kSeedValue), TxnOutcome::kCommitted);
+    uint64_t clocks[2];
+    for (unsigned s = 0; s < 2; ++s) {
+        TmRuntime &rt = store.shardRuntime(s);
+        clocks[s] = rt.peek(&rt.globals().clock);
+    }
+    const StatsSummary before = store.stats();
+
+    RecordingClient client;
+    setSchedClient(&client);
+    TxnOutcome outcome = store.multiRmw(w, keys, 4);
+    setSchedClient(nullptr);
+    ASSERT_EQ(outcome, TxnOutcome::kCommitted);
+
+    const StatsSummary after = store.stats();
+    auto delta = [&](Counter c) { return after.get(c) - before.get(c); };
+    EXPECT_EQ(delta(Counter::kCrossShardCommits), 1u);
+    EXPECT_EQ(delta(Counter::kCrossShardEscalations), 0u);
+    EXPECT_EQ(delta(Counter::kCrossShardRestarts), 0u);
+    EXPECT_EQ(delta(Counter::kCommitsFastPath), 0u);
+    for (unsigned s = 0; s < 2; ++s) {
+        TmRuntime &rt = store.shardRuntime(s);
+        EXPECT_FALSE(client.saw(SchedPoint::kSeqlockAcquire,
+                                &rt.globals().clock))
+            << "shard " << s;
+        EXPECT_EQ(rt.peek(&rt.globals().clock), clocks[s]) << "shard " << s;
+    }
+    expectShardsQuiescent(store);
+    for (uint64_t key : keys) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(w, key, v, found), TxnOutcome::kCommitted);
+        EXPECT_EQ(v, kSeedValue + 4) << "key " << key;
+    }
+}
+
+// A cross-shard RMW that does not fit one hardware transaction (a
+// capacity abort, which retrying cannot cure) leaves the hardware
+// path at once and commits frozen.
+TEST_P(StoreFamilyBTest, CapacitySqueezedCrossShardRmwFreezes)
+{
+    StoreConfig cfg = configFor(GetParam(), 2);
+    cfg.runtime.fault = capacitySqueeze(2);
+    ShardedStore store(cfg);
+    StoreWorker &w = store.registerWorker();
+    const std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                                     store.keyForShard(1, 1)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(w, key, kSeedValue), TxnOutcome::kCommitted);
+    store.resetStats();
+
+    ASSERT_EQ(store.multiRmw(w, keys, 3), TxnOutcome::kCommitted);
+    const StatsSummary st = store.stats();
+    EXPECT_EQ(st.get(Counter::kCrossShardCommits), 1u);
+    EXPECT_EQ(st.get(Counter::kCrossShardEscalations), 1u);
+    EXPECT_EQ(st.get(Counter::kCrossShardRestarts), 0u);
+    EXPECT_EQ(st.get(Counter::kHtmCapacityAborts), 1u);
+    expectShardsQuiescent(store);
+    uint64_t sum = 0;
+    for (uint64_t key : keys) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(w, key, v, found), TxnOutcome::kCommitted);
+        sum += v;
+    }
+    EXPECT_EQ(sum, 2 * (kSeedValue + 3));
+}
+
+/** Runs @p hook at the first @p point the calling thread reaches. */
+class OnceAtClient final : public SchedClient
+{
+  public:
+    OnceAtClient(SchedPoint point, std::function<void()> hook)
+        : point_(point), hook_(std::move(hook))
+    {}
+
+    void
+    schedYield(SchedPoint point, const void *, bool) override
+    {
+        if (point != point_ || !hook_)
+            return;
+        std::function<void()> hook = std::move(hook_);
+        hook_ = nullptr;
+        hook();
+    }
+
+  private:
+    SchedPoint point_;
+    std::function<void()> hook_;
+};
+
+// A native put to one of the RMW's keys lands between the RMW's read
+// of that key and its joint commit. The commit's validation finds the
+// line overwritten and aborts the attempt (kConflict, retryable); the
+// retry reads the put's value and commits on top of it.
+TEST_P(StoreFamilyBTest, NativePutBeforeCrossShardCommitForcesRetry)
+{
+    ShardedStore store(configFor(GetParam(), 2));
+    StoreWorker &rmwWorker = store.registerWorker();
+    StoreWorker &putWorker = store.registerWorker();
+    const std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                                     store.keyForShard(1, 1)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(rmwWorker, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+    store.resetStats();
+
+    const uint64_t kPut = 1000;
+    OnceAtClient client(SchedPoint::kHtmCommit, [&] {
+        std::thread put([&] {
+            EXPECT_EQ(store.put(putWorker, keys[0], kPut),
+                      TxnOutcome::kCommitted);
+        });
+        put.join();
+    });
+    TxnOutcome outcome = TxnOutcome::kDeadlineExceeded;
+    std::thread rmw([&] {
+        setSchedClient(&client);
+        outcome = store.multiRmw(rmwWorker, keys, 2);
+        setSchedClient(nullptr);
+    });
+    rmw.join();
+    ASSERT_EQ(outcome, TxnOutcome::kCommitted);
+
+    const StatsSummary st = store.stats();
+    EXPECT_EQ(st.get(Counter::kCrossShardCommits), 1u);
+    EXPECT_EQ(st.get(Counter::kCrossShardRestarts), 1u);
+    EXPECT_EQ(st.get(Counter::kCrossShardEscalations), 0u);
+    EXPECT_EQ(store.shardStats(0).get(Counter::kHtmConflictAborts), 1u);
+    EXPECT_EQ(store.shardStats(0).get(Counter::kCommitsFastPath), 1u)
+        << "the put";
+    expectShardsQuiescent(store);
+    const uint64_t want[2] = {kPut + 2, kSeedValue + 2};
+    for (unsigned i = 0; i < 2; ++i) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(rmwWorker, keys[i], v, found),
+                  TxnOutcome::kCommitted);
+        EXPECT_EQ(v, want[i]) << "key " << keys[i];
+    }
+}
+
+// A cross-shard RMW holds nothing a native writer waits for. The RMW
+// thread is parked at each of its scheduling points in turn, and at
+// every stop a native put to another key on each involved shard must
+// commit within 50 ms. A freeze that holds the shards' fallback
+// registration and clock for its whole body fails this: a put that
+// starts inside the hold aborts at commit and then waits on the clock,
+// past its deadline or, once it runs irrevocably, until the RMW moves.
+// The puts run on their own thread, so such a wait fails the test
+// after a second (the RMW then runs free) instead of hanging it. An
+// RMW that the puts starve (each put moves the clock its freeze is
+// about to take) fails it after 1000 stops.
+TEST_P(StoreFamilyBTest, ParkedCrossShardRmwBlocksNoNativeWriter)
+{
+    ShardedStore store(configFor(GetParam(), 2));
+    StoreWorker &rmwWorker = store.registerWorker();
+    StoreWorker &putWorker = store.registerWorker();
+    const uint64_t keys[2] = {store.keyForShard(0, 0),
+                              store.keyForShard(1, 1)};
+    const uint64_t others[2] = {store.keyForShard(0, 2),
+                                store.keyForShard(1, 3)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(rmwWorker, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+    // The put worker's own arena holds the other keys' nodes, so no
+    // node the RMW reads shares a cache line with one a put writes.
+    for (uint64_t key : others)
+        ASSERT_EQ(store.put(putWorker, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+
+    LockstepClient client;
+    TxnOutcome outcome = TxnOutcome::kDeadlineExceeded;
+    std::thread rmw([&] {
+        setSchedClient(&client);
+        outcome = store.multiRmw(rmwWorker, {keys[0], keys[1]}, 1);
+        setSchedClient(nullptr);
+        client.finish();
+    });
+
+    StoreOpts opts;
+    opts.deadline = std::chrono::milliseconds(50);
+    const unsigned kMaxSteps = 1000;
+    unsigned steps = 0;
+    for (;;) {
+        const bool finished = client.awaitStep();
+        if (finished)
+            break;
+        if (steps == kMaxSteps) {
+            ADD_FAILURE() << "the RMW did not finish in " << kMaxSteps
+                          << " stops";
+            client.runFree();
+            break;
+        }
+        std::atomic<bool> done{false};
+        std::thread puts([&] {
+            for (unsigned s = 0; s < 2; ++s) {
+                EXPECT_EQ(store.put(putWorker, others[s], steps, opts),
+                          TxnOutcome::kCommitted)
+                    << "put to shard " << s << " at step " << steps;
+            }
+            done.store(true);
+        });
+        const auto giveUp =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        while (!done.load() && std::chrono::steady_clock::now() < giveUp)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (!done.load()) {
+            ADD_FAILURE() << "a put waited on the parked RMW at step "
+                          << steps;
+            client.runFree();
+            puts.join();
+            break;
+        }
+        puts.join();
+        ++steps;
+        client.resume();
+    }
+    rmw.join();
+    EXPECT_EQ(outcome, TxnOutcome::kCommitted);
+    EXPECT_GT(steps, 4u) << "the RMW must be parked step by step";
+    expectShardsQuiescent(store);
+    for (uint64_t key : keys) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(rmwWorker, key, v, found),
+                  TxnOutcome::kCommitted);
+        EXPECT_EQ(v, kSeedValue + 1) << "key " << key;
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ClockEngine, StoreFamilyBTest,
     ::testing::Values(AlgoKind::kHybridNOrec, AlgoKind::kHybridNOrecLazy,
@@ -808,38 +1158,21 @@ INSTANTIATE_TEST_SUITE_P(
         return name;
     });
 
-/** Records every scheduling point the calling thread passes. */
-class RecordingClient final : public SchedClient
-{
-  public:
-    void
-    schedYield(SchedPoint point, const void *addr, bool) override
-    {
-        steps.emplace_back(point, addr);
-    }
-
-    bool
-    saw(SchedPoint point, const void *addr) const
-    {
-        for (const auto &[p, a] : steps)
-            if (p == point && a == addr)
-                return true;
-        return false;
-    }
-
-    std::vector<std::pair<SchedPoint, const void *>> steps;
-};
-
 // Every shared access a cross-shard commit makes sits behind a
 // scheduling point, so the interleaving explorer can drive it: the
-// NOrec-family clock protocol reports its seqlock transitions on each
-// shard's clock, and TL2's 2PL reads their orec CASes.
+// NOrec-family freeze reports its seqlock transitions on each shard's
+// clock (rh-norec reaches its freeze under a capacity squeeze), TL2's
+// 2PL reads their orec CASes, and rh-norec's hardware path begins and
+// commits one hardware transaction per shard.
 TEST(ShardedStoreTest, CrossShardCommitReachesSchedulingPoints)
 {
     for (AlgoKind kind :
          {AlgoKind::kNOrec, AlgoKind::kRhNOrec, AlgoKind::kTl2}) {
         SCOPED_TRACE(algoKindName(kind));
-        ShardedStore store(configFor(kind, 2));
+        StoreConfig cfg = configFor(kind, 2);
+        if (kind == AlgoKind::kRhNOrec)
+            cfg.runtime.fault = capacitySqueeze(2);
+        ShardedStore store(cfg);
         StoreWorker &w = store.registerWorker();
         std::vector<uint64_t> keys{store.keyForShard(0, 0),
                                    store.keyForShard(1, 1)};
@@ -878,6 +1211,27 @@ TEST(ShardedStoreTest, CrossShardCommitReachesSchedulingPoints)
             EXPECT_TRUE(lockedOrec) << "shard " << s;
         }
     }
+
+    ShardedStore store(configFor(AlgoKind::kRhNOrec, 2));
+    StoreWorker &w = store.registerWorker();
+    std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                               store.keyForShard(1, 1)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(w, key, kSeedValue), TxnOutcome::kCommitted);
+    RecordingClient client;
+    setSchedClient(&client);
+    TxnOutcome outcome = store.multiRmw(w, keys, 1);
+    setSchedClient(nullptr);
+    ASSERT_EQ(outcome, TxnOutcome::kCommitted);
+    ASSERT_EQ(store.stats().get(Counter::kCrossShardEscalations), 0u);
+    auto passes = [&](SchedPoint point) {
+        unsigned n = 0;
+        for (const auto &step : client.steps)
+            n += step.first == point;
+        return n;
+    };
+    EXPECT_EQ(passes(SchedPoint::kHtmBegin), store.shardCount());
+    EXPECT_EQ(passes(SchedPoint::kHtmCommit), store.shardCount());
 }
 
 TEST(ShardedStoreTest, HashPartitionCoversAllShards)

@@ -90,8 +90,9 @@ TEST_P(RbTreeAlgoTest, RandomizedAgainstStdMap)
                    [&](Txn &tx) { found = tree.get(tx, key, got); });
             auto it = model.find(key);
             EXPECT_EQ(found, it != model.end());
-            if (found)
+            if (found) {
                 EXPECT_EQ(got, it->second);
+            }
         }
         if (i % 500 == 0) {
             std::string why;

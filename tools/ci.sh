@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# One-stop CI gate: the include-layering lint, the tier-1 build + test
-# suite, the interleaving-explorer `check` leg (docs/CHECKING.md), the
-# crash-recovery sweep with its reverted-fix regression, an ASan leg
-# over recovery replay (docs/PERSISTENCE.md), the HTM tracking tables,
-# the store's slot-pointer scan index and the fault injector's per-site
-# tables, and a single ThreadSanitizer chaos leg as a concurrency
-# smoke check plus a live stats() poll and the HTM and store unit
-# tests under the sanitizer (the full sanitizer soak matrix lives in
-# tools/run_chaos.sh).
+# One-stop CI gate: the include-layering lint, the tier-1 build (with
+# -Werror) + test suite, the interleaving-explorer `check` leg
+# (docs/CHECKING.md), the crash-recovery sweep with its reverted-fix
+# regression, an ASan leg over recovery replay (docs/PERSISTENCE.md),
+# the HTM tracking tables, the store's slot-pointer scan index and the
+# fault injector's per-site tables, and a single ThreadSanitizer chaos
+# leg as a concurrency smoke check plus a live stats() poll and the
+# HTM and store unit tests under the sanitizer (the full sanitizer
+# soak matrix lives in tools/run_chaos.sh).
 #
 # Usage: tools/ci.sh [--skip-tsan]
 set -euo pipefail
@@ -25,8 +25,8 @@ done
 echo "== include-layering lint =="
 python3 tools/check_layers.py
 
-echo "== tier-1: build =="
-cmake -B build -S . >/dev/null
+echo "== tier-1: build (warnings are errors) =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$(nproc)"
 
 echo "== tier-1: ctest =="
@@ -194,10 +194,11 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     # nests several engines' publish mutexes in one joint window.
     build-tsan/tests/htm_tests
     build-tsan/tests/store_tests
-    echo "== TSan cross-shard leg: freeze and release paths, repeated =="
-    # The cross-shard part's freezes (clock seqlock, word lock, TL2
-    # token and orecs, fallback registration) and their releases,
-    # three times over.
+    echo "== TSan cross-shard leg: hardware, freeze and release paths, repeated =="
+    # Family B's multi-engine hardware attempts and joint commit, the
+    # cross-shard part's freezes (clock seqlock, word lock, TL2 token
+    # and orecs, fallback registration) and their releases, three
+    # times over.
     build-tsan/tests/store_tests \
         --gtest_filter='*CrossShard*:*FamilyB*' --gtest_repeat=3
 fi
