@@ -54,11 +54,13 @@ namespace rhtm
  * reported unhealthy.
  *
  * An optional DeadlineState makes the wait bounded: step() polls it
- * (throttled) and throws TxnDeadlineExceeded when the transaction's
- * deadline expires. Pass one only where the throw is safe -- nothing
- * acquired yet, so the normal abort unwind releases everything. The
- * serial FIFO wait deliberately does NOT use it (see
- * serialLockAcquire's ticket-obligation protocol).
+ * and throws TxnDeadlineExceeded when the transaction's deadline
+ * expires. The spin phase polls throttled; once a stall is declared
+ * every step yields or sleeps, so it polls unthrottled and the wait
+ * ends within one sleep of its deadline. Pass one only where the
+ * throw is safe -- nothing acquired yet, so the normal abort unwind
+ * releases everything. The serial FIFO wait deliberately does NOT use
+ * it (see serialLockAcquire's ticket-obligation protocol).
  */
 class StallAwareWaiter
 {
@@ -85,8 +87,6 @@ class StallAwareWaiter
         // serial FIFO) funnels through here; the explorer parks the
         // thread until someone else makes progress.
         schedWaitPoint(SchedPoint::kWaitSpin, &epoch_);
-        if (deadline_ != nullptr)
-            deadline_->poll();
         ++ticks_;
         uint64_t now = epoch_.load(std::memory_order_relaxed);
         if (now != lastEpoch_) {
@@ -103,6 +103,8 @@ class StallAwareWaiter
         if (budget == 0 || sinceProgress_ < budget) {
             // Healthy phase: spin, yielding periodically so the
             // waited-on thread can run on an oversubscribed host.
+            if (deadline_ != nullptr)
+                deadline_->poll();
             if ((ticks_ & 63) == 0)
                 std::this_thread::yield();
             else
@@ -118,6 +120,11 @@ class StallAwareWaiter
             if (stats_)
                 stats_->inc(Counter::kStallsDetected);
         }
+        // Each step from here yields or sleeps (up to stallSleepMaxUs),
+        // so a clock read per step is cheap, and a throttled poll
+        // would let 64 sleeps pass the deadline.
+        if (deadline_ != nullptr)
+            deadline_->pollNow();
         uint64_t over = sinceProgress_ - budget;
         if (over < policy_.stallYieldPhase) {
             if (stats_)

@@ -72,38 +72,4 @@ HtmEngine::directFetchAdd(uint64_t *addr, uint64_t delta)
     return cur;
 }
 
-JointPublication::~JointPublication()
-{
-    // All stores are in; only now does any joined engine's sequence go
-    // even. Close order is irrelevant: every window was open before
-    // the first close.
-    while (head_ != nullptr) {
-        HtmEngine *eng = head_;
-        head_ = eng->jointNext_;
-        eng->jointNext_ = nullptr;
-        eng->closeWindow();
-    }
-}
-
-void
-JointPublication::join(HtmEngine &eng)
-{
-    // Only engines this window holds are walked: their jointNext_ is
-    // ours to read.
-    for (HtmEngine *e = head_; e != nullptr; e = e->jointNext_) {
-        if (e == &eng)
-            return;
-    }
-    eng.jointStamp_ = eng.openWindow();
-    eng.jointNext_ = head_;
-    head_ = &eng;
-}
-
-void
-JointPublication::store(HtmEngine &eng, uint64_t *addr, uint64_t value)
-{
-    join(eng);
-    eng.publishWord(addr, value, eng.jointStamp_);
-}
-
 } // namespace rhtm

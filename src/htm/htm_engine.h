@@ -114,7 +114,6 @@ class HtmEngine
 
   private:
     friend class HtmTxn;
-    friend class JointPublication;
 
     /** Take the publish mutex and make the sequence odd; returns the
      *  odd value, which stamps every stripe the window writes. */
@@ -136,7 +135,7 @@ class HtmEngine
     /**
      * RAII publication window (openWindow/closeWindow). Everything that
      * mutates TM-visible memory does so inside one of these or inside
-     * a JointPublication.
+     * the windows HtmTxn::commitJoint holds open.
      */
     class PublishGuard
     {
@@ -173,51 +172,6 @@ class HtmEngine
     std::atomic<uint64_t> seq_;
     std::mutex publishLock_;
     std::vector<std::atomic<uint64_t>> stripes_;
-
-    // JointPublication bookkeeping, touched only by the thread that
-    // holds publishLock_ through a joint window.
-    HtmEngine *jointNext_ = nullptr; //!< Next engine the window holds.
-    uint64_t jointStamp_ = 0;        //!< This engine's window value.
-};
-
-/**
- * One publication window spanning several engines: stores made through
- * it become visible in every engine at once, when the destructor
- * closes all the windows it opened. A reader of any joined engine
- * spins while that engine's sequence is odd, so no reader can see one
- * engine's new values and another engine's old ones after both were
- * joined -- the atomic cross-domain publication a multi-domain commit
- * needs without raising any lock word hardware transactions
- * subscribe to.
- *
- * join() -- and store(), the first time it names an engine -- takes
- * the engine's publish mutex and makes its sequence odd. Every caller
- * that joins more than one engine must join them in one global order
- * -- cross-shard commits join in ascending domain id -- or two joint
- * publications could deadlock; single-engine publishers hold one
- * mutex at a time and never wait inside it, so they cannot complete a
- * cycle. No scheduling point may run while a window is open
- * (src/util/sched_point.h), so callers keep the window's lifetime to
- * the stores themselves.
- */
-class JointPublication
-{
-  public:
-    JointPublication() = default;
-    ~JointPublication();
-
-    JointPublication(const JointPublication &) = delete;
-    JointPublication &operator=(const JointPublication &) = delete;
-
-    /** Open @p eng's window unless this publication holds it already. */
-    void join(HtmEngine &eng);
-
-    /** Publish @p value at @p addr in @p eng's window (joined first if
-     *  this publication has not joined @p eng yet). */
-    void store(HtmEngine &eng, uint64_t *addr, uint64_t value);
-
-  private:
-    HtmEngine *head_ = nullptr; //!< Most recently joined engine.
 };
 
 } // namespace rhtm

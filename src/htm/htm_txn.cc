@@ -298,38 +298,59 @@ HtmTxn::jointAccessCheck(HtmTxn *const *parts, size_t n)
 void
 HtmTxn::commitJoint(HtmTxn *const *parts, size_t n)
 {
-    try {
-        // Scheduling points and the pre-commit sites come first: no
-        // window may be open while the explorer can park this thread.
-        for (size_t i = 0; i < n; ++i) {
-            assert(parts[i]->active_);
-            schedPoint(SchedPoint::kHtmCommit);
-            parts[i]->faultPoint(FaultSite::kPreCommit);
-        }
-        JointPublication window;
-        for (size_t i = 0; i < n; ++i)
-            window.join(parts[i]->eng_);
-        for (size_t i = 0; i < n; ++i) {
-            HtmTxn &part = *parts[i];
-            for (uint32_t stripe : part.readLog_) {
-                if (part.eng_.stripeStamp(stripe) > part.lastSeq_)
-                    part.fail(HtmAbortCause::kConflict, true);
-            }
-        }
-        for (size_t i = 0; i < n; ++i) {
-            HtmTxn &part = *parts[i];
-            part.faultPoint(FaultSite::kPublishWindow);
-            part.writes_.forEach([&](uint64_t *addr, uint64_t value) {
-                window.store(part.eng_, addr, value);
-            });
-        }
-    } catch (const HtmAbort &) {
-        for (size_t i = 0; i < n; ++i)
-            parts[i]->resetState();
-        throw;
+    // Scheduling points come first: no window may be open while the
+    // explorer can park this thread. Each part reaches one, as each
+    // engine sees a commit, but the commit-time fault sites fire once,
+    // on parts[0]: one transaction commits once.
+    for (size_t i = 0; i < n; ++i) {
+        assert(parts[i]->active_);
+        for (size_t j = 0; j < i; ++j)
+            assert(&parts[j]->eng_ != &parts[i]->eng_ &&
+                   "one part per engine");
+        schedPoint(SchedPoint::kHtmCommit);
     }
-    for (size_t i = 0; i < n; ++i)
-        parts[i]->resetState();
+    // On both exits, close every window opened here and reset every
+    // part. The windows close only after the last store is in, so a
+    // reader of any engine sees all of the writes or none of them.
+    struct Windows
+    {
+        HtmTxn *const *parts;
+        size_t n;
+        size_t opened;
+
+        ~Windows()
+        {
+            for (size_t i = 0; i < opened; ++i)
+                parts[i]->eng_.closeWindow();
+            for (size_t i = 0; i < n; ++i)
+                parts[i]->resetState();
+        }
+    } windows{parts, n, 0};
+
+    parts[0]->faultPoint(FaultSite::kPreCommit);
+    // The parts come in the caller's global engine order (ascending
+    // domain id), so two joint commits cannot deadlock on the publish
+    // mutexes; a single-engine publisher holds one and never waits
+    // inside it.
+    for (; windows.opened < n; ++windows.opened)
+        parts[windows.opened]->eng_.openWindow();
+    for (size_t i = 0; i < n; ++i) {
+        HtmTxn &part = *parts[i];
+        for (uint32_t stripe : part.readLog_) {
+            if (part.eng_.stripeStamp(stripe) > part.lastSeq_)
+                part.fail(HtmAbortCause::kConflict, true);
+        }
+    }
+    parts[0]->faultPoint(FaultSite::kPublishWindow);
+    for (size_t i = 0; i < n; ++i) {
+        HtmTxn &part = *parts[i];
+        // This thread holds the window, so the engine's sequence is
+        // still the odd value openWindow() returned.
+        const uint64_t stamp = part.eng_.seq();
+        part.writes_.forEach([&](uint64_t *addr, uint64_t value) {
+            part.eng_.publishWord(addr, value, stamp);
+        });
+    }
 }
 
 void

@@ -96,8 +96,10 @@ class HtmTxn
      * Commit the parts as one transaction: open every engine's publish
      * window in the given order, validate every part's read log, then
      * publish every part's writes and close the windows, so each
-     * engine's readers see all of the writes or none. A failed
-     * validation aborts (kConflict, retryable) and resets every part.
+     * engine's readers see all of the writes or none. The parts must
+     * be on distinct engines. The commit-time fault sites (kPreCommit,
+     * kPublishWindow) fire once, on parts[0]. A failed validation
+     * aborts (kConflict, retryable) and resets every part.
      */
     static void commitJoint(HtmTxn *const *parts, size_t n);
 

@@ -50,10 +50,10 @@ const TxDispatch CrossShardPart::kHtmDispatch = {
 
 CrossShardPart::CrossShardPart(TmRuntime &rt, ThreadCtx &ctx,
                                unsigned ownerId)
-    : rt_(rt), ctx_(ctx), eng_(rt.engine()), g_(rt.globals()),
-      htm_(ctx.htm()), tl2_(rt.tl2Globals()), rhTl2_(rt.rhTl2Globals()),
+    : rt_(rt), ctx_(ctx), g_(rt.globals()), htm_(ctx.htm()),
+      tl2_(rt.tl2Globals()), rhTl2_(rt.rhTl2Globals()),
       family_(crossFamilyOf(rt.kind())), ownerId_(ownerId),
-      engine_(eng_), rawClock_(raw_, &g_.clock),
+      engine_(rt.engine()), rawClock_(raw_, &g_.clock),
       engineClock_(engine_, &g_.clock, &g_.watchdog.clockEpoch),
       writes_(kWriteIndexLog2)
 {
@@ -124,18 +124,6 @@ template <typename Mem>
 void
 CrossShardPart::lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock)
 {
-    // Family B: RH NOrec's own exclusion (Algorithm 1). With a
-    // fallback registered, every fast-path writer reads the clock at
-    // commit and aborts while it is locked, and every software writer
-    // needs the clock. Register first, then lock: a fast-path writer
-    // that saw fallbacks == 0 is doomed by the registration's store,
-    // so once the CAS lands no commit can reach the shard -- yet
-    // read-only hardware transactions, which touch neither word, run
-    // on.
-    if (family_ == CrossFamily::kClockEngine) {
-        mem.fetchAdd(&g_.fallbacks, 1);
-        registered_ = true;
-    }
     for (unsigned i = 0;; ++i) {
         uint64_t c = mem.load(&g_.clock);
         if (!clockIsLocked(c) && seqlock.tryAcquireAt(c)) {
@@ -149,22 +137,15 @@ CrossShardPart::lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock)
 
 template <typename Mem>
 void
-CrossShardPart::unlockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
-                            bool advance)
+CrossShardPart::unlockClock(CommitSeqlock<Mem> &seqlock, bool advance)
 {
-    // Clock first, registration last: the shard stays closed to
-    // fast-path writers until the clock is released.
-    if (clockHeld_) {
-        if (advance)
-            seqlock.releaseAdvance(snapshot_);
-        else
-            seqlock.releaseRestore(snapshot_);
-        clockHeld_ = false;
-    }
-    if (registered_) {
-        mem.fetchAdd(&g_.fallbacks, static_cast<uint64_t>(-1));
-        registered_ = false;
-    }
+    if (!clockHeld_)
+        return;
+    if (advance)
+        seqlock.releaseAdvance(snapshot_);
+    else
+        seqlock.releaseRestore(snapshot_);
+    clockHeld_ = false;
 }
 
 void
@@ -309,7 +290,12 @@ CrossShardPart::freeze(DeadlineState &deadline)
         lockClock(raw_, rawClock_);
         return;
     case CrossFamily::kClockEngine:
+        // Algorithm 2's slow-path writer: the clock, then htmLock
+        // around the in-place writes. Only the clock holder writes
+        // htmLock on this family, so the word CAS never waits, and
+        // the order (clock, then htmLock) is the sessions' own.
         lockClock(engine_, engineClock_);
+        lockWord(&g_.htmLock);
         return;
     case CrossFamily::kGlobalLock:
         lockWord(&g_.globalLock);
@@ -324,7 +310,7 @@ CrossShardPart::freeze(DeadlineState &deadline)
 }
 
 void
-CrossShardPart::publish(JointPublication &window)
+CrossShardPart::publish()
 {
     switch (family_) {
     case CrossFamily::kClockRaw:
@@ -335,13 +321,12 @@ CrossShardPart::publish(JointPublication &window)
         break;
     case CrossFamily::kClockEngine:
     case CrossFamily::kGlobalLock:
-        // Every involved shard's values appear at one instant, so a
-        // family-B hardware reader, which subscribes to none of the
-        // words held here, cannot see this shard's new values beside
-        // another shard's old ones.
-        writes_.forEach([&](uint64_t *addr, uint64_t v) {
-            window.store(eng_, addr, v);
-        });
+        // Every hardware transaction on the shard subscribes to the
+        // word held here (htmLock, globalLock), so none runs while the
+        // shard is frozen, and the coordinator releases a shard only
+        // after every part has published.
+        writes_.forEach(
+            [&](uint64_t *addr, uint64_t v) { engine_.store(addr, v); });
         break;
     case CrossFamily::kRhTl2: {
         if (writes_.empty())
@@ -369,10 +354,11 @@ CrossShardPart::release(bool published)
         htm_.cancel();
     switch (family_) {
     case CrossFamily::kClockRaw:
-        unlockClock(raw_, rawClock_, published && wrote());
+        unlockClock(rawClock_, published && wrote());
         break;
     case CrossFamily::kClockEngine:
-        unlockClock(engine_, engineClock_, published && wrote());
+        unlockWord();
+        unlockClock(engineClock_, published && wrote());
         break;
     case CrossFamily::kGlobalLock:
     case CrossFamily::kRhTl2:

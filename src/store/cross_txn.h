@@ -17,25 +17,26 @@
  *  - Freeze (every family; family B's fallback): the coordinator
  *    freezes every involved shard in ascending domain-id order with
  *    its family's blocking exclusion, runs the body with direct reads
- *    into a per-part RedoBuffer, publishes every part through one
- *    JointPublication, and releases the parts in reverse order. A
- *    frozen shard admits no native commit, so the body needs no read
- *    log and the publication cannot fail.
+ *    into a per-part RedoBuffer, publishes every part with plain
+ *    stores, and releases the parts in reverse order. A frozen shard
+ *    admits no native commit, so the body needs no read log and the
+ *    publication cannot fail. Every hardware transaction on a frozen
+ *    shard subscribes to a word its freeze holds (B, C, E), so none
+ *    sees a part's stores before every part has published.
  *
  * Families (by the shard's AlgoKind), and the freeze each takes:
  *
  *  - clock (A = norec, norec-lazy over RawMem; B = hy-norec,
  *    hy-norec-lazy, rh-norec over EngineMem): the shard's
- *    CommitSeqlock, as RH NOrec's slow path takes it (Algorithm 1).
- *    B passes the watchdog's clock epoch, as the hybrid sessions do,
- *    and registers in TmGlobals::fallbacks before the clock CAS
- *    (dropped after the clock is released): with a fallback
- *    registered every fast-path writer reads the clock at commit and
- *    aborts while it is locked, yet read-only hardware transactions,
- *    which subscribe only to htmLock, run on. Publication goes through
- *    the JointPublication, so a hardware reader sees every involved
- *    shard's new values or none of them. Release advances the clock
- *    if the part wrote, else restores it.
+ *    CommitSeqlock, as a NOrec slow-path writer takes it. B passes
+ *    the watchdog's clock epoch, as the hybrid sessions do, and then
+ *    raises htmLock with the word lock (E's routine), as Algorithm 2's
+ *    writer does around its in-place writes: every hardware
+ *    transaction on the shard subscribes to htmLock, so the raise
+ *    aborts the live ones and no new one runs until release. Only the
+ *    clock holder writes htmLock on family B, so the raise never
+ *    waits. Release drops htmLock, then advances the clock if the
+ *    part wrote, else restores it.
  *  - global-lock (C = lock-elision): the word lock on globalLock. Fast
  *    paths subscribe the lock word and serial natives spin on it.
  *  - tl2 (D): the irrevocability token, which licenses this thread to
@@ -136,9 +137,8 @@ class CrossShardPart final : public TxSession
      */
     void freeze(DeadlineState &deadline);
 
-    /** Write back the buffered writes; engine-visible stores go
-     *  through @p window so every involved shard publishes at once. */
-    void publish(JointPublication &window);
+    /** Write back the buffered writes (the shard is still frozen). */
+    void publish();
 
     /**
      * Drop whatever the part holds (a live hardware transaction is
@@ -183,8 +183,7 @@ class CrossShardPart final : public TxSession
     template <typename Mem>
     void lockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock);
     template <typename Mem>
-    void unlockClock(const Mem &mem, CommitSeqlock<Mem> &seqlock,
-                     bool advance);
+    void unlockClock(CommitSeqlock<Mem> &seqlock, bool advance);
     void lockWord(uint64_t *word);
     void unlockWord();
     void lockToken();
@@ -194,7 +193,6 @@ class CrossShardPart final : public TxSession
 
     TmRuntime &rt_;
     ThreadCtx &ctx_;
-    HtmEngine &eng_;
     TmGlobals &g_;
     HtmTxn &htm_;
     Tl2Globals *tl2_;
@@ -214,10 +212,9 @@ class CrossShardPart final : public TxSession
 
     DeadlineState *deadline_ = nullptr; //!< Polled by every wait.
     uint64_t snapshot_ = 0;  //!< Clock value the seqlock was taken at.
-    uint64_t *heldWord_ = nullptr; //!< Word lock held (C, E).
+    uint64_t *heldWord_ = nullptr; //!< Word lock held (B, C, E).
     bool active_ = false;    //!< Begun or frozen (epoch slot held).
     bool clockHeld_ = false; //!< Clock seqlock held (families A/B).
-    bool registered_ = false; //!< Counted in fallbacks (family B).
     bool tokenHeld_ = false; //!< TL2 irrevocability token held.
 };
 

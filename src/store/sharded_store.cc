@@ -399,10 +399,9 @@ ShardedStore::runCross(StoreWorker &w, uint64_t delta,
     deadline.disarm();
 
     if (!inHardware) {
-        JointPublication window;
         for (auto &[p, s] : order) {
             (void)s;
-            p->publish(window);
+            p->publish();
         }
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it)

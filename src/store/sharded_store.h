@@ -30,9 +30,13 @@
  * shard's engine, retried like a native fast path. Every other kind,
  * and family B once its hardware attempts give up, freezes the
  * involved shards in ascending domain-id order (each family's
- * blocking exclusion): the body reads directly, every part publishes
- * through one joint window, and the parts release in reverse. A
- * frozen RMW makes one attempt: only a deadline can unwind it.
+ * blocking exclusion; family B takes the clock and raises htmLock,
+ * as RH NOrec's slow-path writer does): the body reads directly,
+ * every part publishes with plain stores while every shard is still
+ * frozen, and the parts release in reverse. A frozen RMW makes one
+ * attempt: only a deadline can unwind it. Multi-shard atomicity thus
+ * rests on the locks hardware transactions subscribe to (the freeze)
+ * or on one multi-engine hardware commit (HtmTxn::commitJoint).
  *
  * Range scans are per-shard operations: keys hash across shards, so a
  * key-range scan addresses one shard's ordered index (the OLTP loop

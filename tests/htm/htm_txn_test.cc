@@ -347,44 +347,78 @@ TEST_F(HtmFixture, PublicationToReadLineAbortsWriterAtCommit)
     EXPECT_EQ(eng.directLoad(&y), 0u) << "aborted commit must not publish";
 }
 
+/**
+ * A plan that holds every publication window @p tid opens for about
+ * @p spins busy iterations, so another thread can arrive inside it.
+ */
+FaultPlan
+publishWindowDelay(unsigned tid, uint32_t spins)
+{
+    FaultRule rule;
+    rule.site = FaultSite::kPublishWindow;
+    rule.kind = FaultKind::kDelay;
+    rule.delaySpins = spins;
+    rule.tid = static_cast<int>(tid);
+    FaultPlan plan;
+    plan.add(rule);
+    return plan;
+}
+
+/** Busy iterations that keep a window open for milliseconds. */
+constexpr uint32_t kLongWindowSpins = 20'000'000;
+
 TEST_F(HtmFixture, ReadRacingAnOpenWindowSpinsForThePublishedValue)
 {
+    FaultInjector fault(publishWindowDelay(2, kLongWindowSpins), 2);
+    HtmTxn publisher(eng, 2, nullptr, 1, &fault);
     txa.begin();
     txa.read(&y); // Snapshot taken; y is not written below.
-    std::atomic<bool> open{false};
-    std::thread publisher([&] {
-        JointPublication window;
-        window.store(eng, &x, 42);
-        open.store(true);
-        // Keep the sequence odd long enough for the reader to arrive.
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t before = eng.seq();
+    std::thread commit([&] {
+        publisher.begin();
+        publisher.write(&x, 42);
+        publisher.commit(); // The delay keeps the sequence odd.
     });
-    while (!open.load())
+    while (eng.seq() == before)
         std::this_thread::yield();
     EXPECT_EQ(txa.read(&x), 42u) << "read must wait out the window";
-    publisher.join();
+    commit.join();
+    EXPECT_EQ(fault.fires(FaultSite::kPublishWindow), 1u);
     EXPECT_EQ(txa.revalidations(), 1u);
     txa.commit();
 }
 
-TEST(HtmJointPublicationTest, WindowsStayOpenUntilTheLastStoreIsIn)
+TEST(HtmJointCommitTest, WindowsStayOpenUntilTheLastStoreIsIn)
 {
     HtmEngine e1, e2;
-    HtmTxn reader(e2, 0, nullptr);
+    FaultInjector fault(publishWindowDelay(0, kLongWindowSpins), 0);
+    HtmTxn w1(e1, 0, nullptr, 1, &fault);
+    HtmTxn w2(e2, 0, nullptr);
+    HtmTxn reader(e2, 1, nullptr);
     alignas(64) static uint64_t a = 0;
     alignas(64) static uint64_t b = 0;
     reader.begin();
     EXPECT_EQ(reader.read(&b), 0u);
-    {
-        JointPublication window;
-        window.store(e1, &a, 1);
-        EXPECT_EQ(e1.seq() % 2, 1u);
-        EXPECT_EQ(e2.seq() % 2, 0u) << "joined only on first store";
-        window.store(e2, &b, 2);
-        window.store(e1, &a, 3); // Already joined: same window.
-        EXPECT_EQ(e1.seq() % 2, 1u);
-        EXPECT_EQ(e2.seq() % 2, 1u);
-    }
+    HtmTxn *const parts[2] = {&w1, &w2};
+    std::thread commit([&] {
+        w1.begin();
+        w2.begin();
+        w1.write(&a, 1);
+        w2.write(&b, 2);
+        w1.write(&a, 3); // Buffered: one store of the last value.
+        HtmTxn::commitJoint(parts, 2);
+    });
+    // e2's window opens after e1's, and e1's closes only after every
+    // store is in, so once e1 is even again b holds its new value.
+    while (e2.seq() == 0)
+        std::this_thread::yield();
+    EXPECT_NE(e1.seq(), 0u) << "windows open in the parts' order";
+    while (e1.seq() % 2 == 1)
+        std::this_thread::yield();
+    EXPECT_EQ(std::atomic_ref<uint64_t>(b).load(), 2u)
+        << "e1's window closed before e2's store was in";
+    commit.join();
+    EXPECT_EQ(fault.fires(FaultSite::kPublishWindow), 1u);
     EXPECT_EQ(e1.seq() % 2, 0u);
     EXPECT_EQ(e2.seq() % 2, 0u);
     EXPECT_EQ(e1.directLoad(&a), 3u);

@@ -93,6 +93,18 @@ capacitySqueeze(size_t lines)
 }
 
 /**
+ * capacitySqueeze() for thread @p tid alone: on a store, worker @p tid
+ * (workers register in order, so worker i is thread i on every shard).
+ */
+FaultPlan
+capacitySqueezeFor(unsigned tid, size_t lines)
+{
+    FaultPlan plan = capacitySqueeze(lines);
+    plan.rules.front().tid = static_cast<int>(tid);
+    return plan;
+}
+
+/**
  * No cross-shard part left a coordination word behind: no HTM lock,
  * fallback registration, global lock, locked clock or TL2
  * irrevocability token on any shard.
@@ -410,9 +422,9 @@ TEST_P(StoreAlgoTest, ConcurrentCrossShardRmwPreservesSum)
 TEST_P(StoreAlgoTest, EscalatedCrossShardRmwPreservesSum)
 {
     // Every cross-shard RMW commits, in hardware (family B) or frozen
-    // (blocking freezes in domain order, one joint publication), and
-    // each RMW whose keys span more than one shard counts one cross
-    // commit on whichever path it took.
+    // (blocking freezes in domain order, all parts published before
+    // any is released), and each RMW whose keys span more than one
+    // shard counts one cross commit on whichever path it took.
     const unsigned kThreads = 2;
     const unsigned kOpsPerThread = 40;
     const uint64_t kKeys = 24;
@@ -732,8 +744,9 @@ class RecordingClient final : public SchedClient
 // ---------------------------------------------------------------------
 // Family B (hy-norec, hy-norec-lazy, rh-norec): a cross-shard RMW runs
 // first as one hardware transaction over the involved shards' engines.
-// Its fallback registers as a fallback and locks the clock instead of
-// raising the HTM lock, and publishes every shard in one joint window.
+// Its fallback freezes each shard as Algorithm 2's slow-path writer
+// holds it, the clock and then the HTM lock, and publishes with plain
+// stores before it releases any shard.
 
 class StoreFamilyBTest : public ::testing::TestWithParam<AlgoKind>
 {
@@ -779,7 +792,7 @@ TEST_P(StoreFamilyBTest, ReadOnlyFastPathSurvivesCrossShardCommit)
     EXPECT_EQ(store.stats().get(Counter::kCrossShardCommits), 1u);
     EXPECT_EQ(rt.peek(&rt.globals().htmLock), 0u);
     EXPECT_EQ(rt.peek(&rt.globals().fallbacks), 0u)
-        << "the cross part's registration leaked";
+        << "a fallback registration leaked";
 }
 
 /**
@@ -845,15 +858,32 @@ class LockstepClient final : public SchedClient
     bool freeRun_ = false;
 };
 
-// Cross-shard atomic visibility for hardware readers, which subscribe
-// to no lock the cross commit holds. Between every two scheduling
-// points of the committing thread the controller reads one shard's
-// key natively and, if that read sees the new value, reads the other
-// shard's key: it must see the new value too. Publishing each shard in
-// its own window fails this at the point between the two windows.
-TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
+/**
+ * Cross-shard atomic visibility to native readers. Between every two
+ * scheduling points of the committing thread the controller reads one
+ * shard's key natively and, if that read sees the new value, reads the
+ * other shard's key: it must see the new value too.
+ *
+ * Hardware path (@p freeze false): the readers are hardware
+ * transactions that subscribe to no lock the RMW holds, so every read
+ * commits; publishing each shard in its own window fails this at the
+ * point between the two windows.
+ *
+ * Freeze (@p freeze true): only the writer's hardware attempts are
+ * squeezed, so the RMW escalates once and commits frozen. A hardware
+ * reader subscribes to htmLock, which the freeze raises, and a
+ * software reader waits for the clock, so a read of a frozen shard
+ * runs into its few-ms deadline and observes nothing. Without the
+ * raise, or with per-word stores in place of it, a reader sees one
+ * shard's new value beside the other's old one.
+ */
+void
+expectNativeReadersSeeRmwAtomically(AlgoKind kind, bool freeze)
 {
-    ShardedStore store(configFor(GetParam(), 2));
+    StoreConfig cfg = configFor(kind, 2);
+    if (freeze)
+        cfg.runtime.fault = capacitySqueezeFor(0, 2);
+    ShardedStore store(cfg);
     StoreWorker &writer = store.registerWorker();
     StoreWorker &reader = store.registerWorker();
     const uint64_t keys[2] = {store.keyForShard(0, 0),
@@ -861,6 +891,7 @@ TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
     for (uint64_t key : keys)
         ASSERT_EQ(store.put(writer, key, kSeedValue),
                   TxnOutcome::kCommitted);
+    store.resetStats();
 
     LockstepClient client;
     TxnOutcome outcome = TxnOutcome::kDeadlineExceeded;
@@ -872,25 +903,34 @@ TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
     });
 
     StoreOpts opts;
-    opts.deadline = std::chrono::seconds(5); // A hang fails, not stalls.
-    auto read = [&](uint64_t key) {
-        uint64_t v = 0;
+    // On the hardware path a hang fails, not stalls.
+    opts.deadline = freeze ? std::chrono::milliseconds(3)
+                           : std::chrono::milliseconds(5000);
+    // True with @p v set when the read committed; false when a frozen
+    // shard held it past its deadline.
+    auto read = [&](uint64_t key, uint64_t &v) {
         bool found = false;
-        EXPECT_EQ(store.get(reader, key, v, found, opts),
-                  TxnOutcome::kCommitted);
-        return v;
+        const TxnOutcome o = store.get(reader, key, v, found, opts);
+        if (freeze && o == TxnOutcome::kDeadlineExceeded)
+            return false;
+        EXPECT_EQ(o, TxnOutcome::kCommitted);
+        return o == TxnOutcome::kCommitted;
     };
     unsigned steps = 0;
     bool sawNew = false;
     for (;;) {
         const bool finished = client.awaitStep();
         for (unsigned first = 0; first < 2; ++first) {
-            if (read(keys[first]) != kSeedValue + 1)
+            uint64_t v = 0;
+            if (!read(keys[first], v) || v != kSeedValue + 1)
                 continue;
             sawNew = true;
-            EXPECT_EQ(read(keys[1 - first]), kSeedValue + 1)
-                << "shard " << first << " showed the RMW, shard "
-                << 1 - first << " did not (step " << steps << ")";
+            uint64_t other = 0;
+            if (read(keys[1 - first], other)) {
+                EXPECT_EQ(other, kSeedValue + 1)
+                    << "shard " << first << " showed the RMW, shard "
+                    << 1 - first << " did not (step " << steps << ")";
+            }
         }
         if (finished)
             break;
@@ -899,8 +939,179 @@ TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
     }
     rmw.join();
     EXPECT_EQ(outcome, TxnOutcome::kCommitted);
+    if (freeze) {
+        EXPECT_EQ(store.stats().get(Counter::kCrossShardEscalations), 1u);
+    }
     EXPECT_TRUE(sawNew);
     EXPECT_GT(steps, 4u) << "the commit must be observed step by step";
+    expectShardsQuiescent(store);
+}
+
+TEST_P(StoreFamilyBTest, NativeReadersSeeCrossShardCommitAtomically)
+{
+    expectNativeReadersSeeRmwAtomically(GetParam(), /*freeze=*/false);
+}
+
+TEST_P(StoreFamilyBTest, NativeReadersSeeFrozenCrossShardCommitAtomically)
+{
+    expectNativeReadersSeeRmwAtomically(GetParam(), /*freeze=*/true);
+}
+
+// A frozen cross-shard RMW is not starved by native writers. Only the
+// RMW worker's hardware attempts are squeezed, so it freezes. It is
+// parked at every scheduling point, and at each stop a native put to
+// another key commits on every involved shard whose clock is unlocked
+// and whose htmLock is 0, that is, every shard the freeze does not
+// hold yet. A freeze that registered as a fallback before its clock
+// CAS made every such put bump the clock it was about to take, so it
+// looped for as long as the puts came.
+TEST_P(StoreFamilyBTest, FrozenCrossShardRmwIsNotStarvedByNativePuts)
+{
+    StoreConfig cfg = configFor(GetParam(), 2);
+    cfg.runtime.fault = capacitySqueezeFor(0, 2);
+    ShardedStore store(cfg);
+    StoreWorker &rmwWorker = store.registerWorker();
+    StoreWorker &putWorker = store.registerWorker();
+    const uint64_t keys[2] = {store.keyForShard(0, 0),
+                              store.keyForShard(1, 1)};
+    const uint64_t others[2] = {store.keyForShard(0, 2),
+                                store.keyForShard(1, 3)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(rmwWorker, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+    for (uint64_t key : others)
+        ASSERT_EQ(store.put(putWorker, key, kSeedValue),
+                  TxnOutcome::kCommitted);
+    store.resetStats();
+
+    LockstepClient client;
+    TxnOutcome outcome = TxnOutcome::kDeadlineExceeded;
+    std::thread rmw([&] {
+        setSchedClient(&client);
+        outcome = store.multiRmw(rmwWorker, {keys[0], keys[1]}, 1);
+        setSchedClient(nullptr);
+        client.finish();
+    });
+
+    StoreOpts opts;
+    opts.deadline = std::chrono::milliseconds(50);
+    const unsigned kMaxSteps = 300;
+    unsigned steps = 0;
+    unsigned puts = 0;
+    for (;;) {
+        if (client.awaitStep())
+            break;
+        if (steps == kMaxSteps) {
+            ADD_FAILURE() << "the RMW did not finish in " << kMaxSteps
+                          << " stops (" << puts << " puts)";
+            client.runFree();
+            break;
+        }
+        for (unsigned s = 0; s < 2; ++s) {
+            TmRuntime &rt = store.shardRuntime(s);
+            if (clockIsLocked(rt.peek(&rt.globals().clock)) ||
+                rt.peek(&rt.globals().htmLock) != 0)
+                continue;
+            EXPECT_EQ(store.put(putWorker, others[s], steps, opts),
+                      TxnOutcome::kCommitted)
+                << "put to shard " << s << " at step " << steps;
+            ++puts;
+        }
+        ++steps;
+        client.resume();
+    }
+    rmw.join();
+    EXPECT_EQ(outcome, TxnOutcome::kCommitted);
+    EXPECT_EQ(store.stats().get(Counter::kCrossShardEscalations), 1u);
+    EXPECT_GT(puts, 0u);
+    expectShardsQuiescent(store);
+    for (uint64_t key : keys) {
+        uint64_t v = 0;
+        bool found = false;
+        ASSERT_EQ(store.get(rmwWorker, key, v, found),
+                  TxnOutcome::kCommitted);
+        EXPECT_EQ(v, kSeedValue + 1) << "key " << key;
+    }
+}
+
+// A native get on a shard whose clock and htmLock are held (what a
+// frozen family-B shard shows) gives up at its deadline, not long
+// after: once its wait declares a stall it yields and sleeps, and it
+// must read the clock at every such step rather than every 64th.
+TEST_P(StoreFamilyBTest, GetOnAFrozenShardReturnsByItsDeadline)
+{
+    ShardedStore store(configFor(GetParam(), 2));
+    StoreWorker &w = store.registerWorker();
+    const uint64_t key = store.keyForShard(0, 0);
+    ASSERT_EQ(store.put(w, key, kSeedValue), TxnOutcome::kCommitted);
+    TmRuntime &rt = store.shardRuntime(0);
+    TmGlobals &g = rt.globals();
+    const uint64_t clock = rt.peek(&g.clock);
+    rt.poke(&g.clock, clock + 1);
+    rt.poke(&g.htmLock, 1);
+    for (unsigned ms : {1u, 5u, 20u}) {
+        StoreOpts opts;
+        opts.deadline = std::chrono::milliseconds(ms);
+        uint64_t v = 0;
+        bool found = false;
+        const auto start = std::chrono::steady_clock::now();
+        EXPECT_EQ(store.get(w, key, v, found, opts),
+                  TxnOutcome::kDeadlineExceeded);
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  opts.deadline + std::chrono::milliseconds(20))
+            << "deadline " << ms << " ms";
+    }
+    rt.poke(&g.htmLock, 0);
+    rt.poke(&g.clock, clock);
+    expectShardsQuiescent(store);
+    uint64_t v = 0;
+    bool found = false;
+    ASSERT_EQ(store.get(w, key, v, found), TxnOutcome::kCommitted);
+    EXPECT_EQ(v, kSeedValue);
+}
+
+// A multi-engine hardware commit is one transaction, so it rolls the
+// commit-time fault sites once, whatever the number of parts: the
+// kPreCommit and kPublishWindow hits summed over the involved shards'
+// injectors rise by exactly one per joint commit.
+TEST_P(StoreFamilyBTest, JointCommitRollsCommitFaultsOnce)
+{
+    StoreConfig cfg = configFor(GetParam(), 3);
+    // A rule for a thread that never registers: every worker gets an
+    // injector that only counts hits.
+    FaultRule idle;
+    idle.site = FaultSite::kPreCommit;
+    idle.kind = FaultKind::kAbortOther;
+    idle.tid = 1000;
+    cfg.runtime.fault.add(idle);
+    ShardedStore store(cfg);
+    StoreWorker &w = store.registerWorker();
+    const std::vector<uint64_t> keys{store.keyForShard(0, 0),
+                                     store.keyForShard(1, 1),
+                                     store.keyForShard(2, 2)};
+    for (uint64_t key : keys)
+        ASSERT_EQ(store.put(w, key, kSeedValue), TxnOutcome::kCommitted);
+    auto hits = [&](FaultSite site) {
+        uint64_t n = 0;
+        for (unsigned s = 0; s < store.shardCount(); ++s)
+            n += store.shardRuntime(s).context(w.id()).injector()->hits(
+                site);
+        return n;
+    };
+    for (size_t parts : {2u, 3u}) {
+        SCOPED_TRACE(parts);
+        const uint64_t preCommit = hits(FaultSite::kPreCommit);
+        const uint64_t window = hits(FaultSite::kPublishWindow);
+        store.resetStats();
+        const std::vector<uint64_t> span(keys.begin(),
+                                         keys.begin() + parts);
+        ASSERT_EQ(store.multiRmw(w, span, 1), TxnOutcome::kCommitted);
+        ASSERT_EQ(store.stats().get(Counter::kCrossShardRestarts), 0u);
+        ASSERT_EQ(store.stats().get(Counter::kCrossShardEscalations), 0u);
+        EXPECT_EQ(hits(FaultSite::kPreCommit) - preCommit, 1u);
+        EXPECT_EQ(hits(FaultSite::kPublishWindow) - window, 1u);
+    }
+    expectShardsQuiescent(store);
 }
 
 // With nothing in its way a cross-shard RMW commits in hardware: no
@@ -1060,10 +1271,10 @@ TEST_P(StoreFamilyBTest, NativePutBeforeCrossShardCommitForcesRetry)
 // A cross-shard RMW holds nothing a native writer waits for. The RMW
 // thread is parked at each of its scheduling points in turn, and at
 // every stop a native put to another key on each involved shard must
-// commit within 50 ms. A freeze that holds the shards' fallback
-// registration and clock for its whole body fails this: a put that
-// starts inside the hold aborts at commit and then waits on the clock,
-// past its deadline or, once it runs irrevocably, until the RMW moves.
+// commit within 50 ms. A freeze, which holds the shards' clock and
+// htmLock for its whole body, fails this: a put that starts inside the
+// hold aborts on htmLock and then waits on the clock, past its
+// deadline or, once it runs irrevocably, until the RMW moves.
 // The puts run on their own thread, so such a wait fails the test
 // after a second (the RMW then runs free) instead of hanging it. An
 // RMW that the puts starve (each put moves the clock its freeze is

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# One-stop CI gate: the include-layering lint, the tier-1 build (with
-# -Werror) + test suite, the interleaving-explorer `check` leg
-# (docs/CHECKING.md), the crash-recovery sweep with its reverted-fix
-# regression, an ASan leg over recovery replay (docs/PERSISTENCE.md),
-# the HTM tracking tables, the store's slot-pointer scan index and the
-# fault injector's per-site tables, and a single ThreadSanitizer chaos
-# leg as a concurrency smoke check plus a live stats() poll and the
-# HTM and store unit tests under the sanitizer (the full sanitizer
-# soak matrix lives in tools/run_chaos.sh).
+# One-stop CI gate: the include-layering lint, the tier-1 build + test
+# suite (every build here, sanitizer legs included, uses -Werror), the
+# interleaving-explorer `check` leg (docs/CHECKING.md), the
+# crash-recovery sweep with its reverted-fix regression, an ASan leg
+# over recovery replay (docs/PERSISTENCE.md), the HTM tracking tables,
+# the store's slot-pointer scan index and the fault injector's
+# per-site tables, and a single ThreadSanitizer chaos leg as a
+# concurrency smoke check plus a live stats() poll and the HTM and
+# store unit tests under the sanitizer (the full sanitizer soak matrix
+# lives in tools/run_chaos.sh).
 #
 # Usage: tools/ci.sh [--skip-tsan]
 set -euo pipefail
@@ -156,7 +157,8 @@ echo "== ASan leg: recovery replay, HTM tracking tables, store scan index, fault
 # error too; structures_tests and store_tests cover it. The fault
 # injector's per-site tables (rule lists, inline draw thresholds) are
 # indexed by site, and fault_tests drives every path through them.
-cmake -B build-asan -S . -DRHTM_SANITIZE=address >/dev/null
+cmake -B build-asan -S . -DRHTM_SANITIZE=address \
+    -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$(nproc)" \
     --target bench_crash persist_tests htm_tests core_tests \
     structures_tests store_tests fault_tests
@@ -171,7 +173,8 @@ build-asan/bench/bench_crash --threads=1,2 --algos=all --ops=80 \
 
 if [ "$SKIP_TSAN" -eq 0 ]; then
     echo "== TSan chaos leg: stall-serial seed=1 =="
-    cmake -B build-tsan -S . -DRHTM_SANITIZE=thread >/dev/null
+    cmake -B build-tsan -S . -DRHTM_SANITIZE=thread \
+        -DCMAKE_CXX_FLAGS=-Werror >/dev/null
     cmake --build build-tsan -j "$(nproc)" \
         --target bench_chaos api_tests htm_tests store_tests
     build-tsan/bench/bench_chaos \
@@ -188,16 +191,18 @@ if [ "$SKIP_TSAN" -eq 0 ]; then
     # ThreadStats slots are single-writer relaxed atomics, so a live
     # poll is race-free. Any sanitizer report exits nonzero (66).
     build-tsan/tests/api_tests --gtest_filter='StatsPollTest.*'
-    echo "== TSan HTM + store leg: stamp reads, joint publication =="
+    echo "== TSan HTM + store leg: stamp reads, joint commit =="
     # A simulated-HTM read loads the value and then checks the
-    # sequence (value-then-seq ordering), and a cross-shard commit
-    # nests several engines' publish mutexes in one joint window.
+    # sequence (value-then-seq ordering), and a multi-engine hardware
+    # commit (HtmTxn::commitJoint) nests several engines' publish
+    # mutexes.
     build-tsan/tests/htm_tests
     build-tsan/tests/store_tests
     echo "== TSan cross-shard leg: hardware, freeze and release paths, repeated =="
     # Family B's multi-engine hardware attempts and joint commit, the
-    # cross-shard part's freezes (clock seqlock, word lock, TL2 token
-    # and orecs, fallback registration) and their releases, three
+    # cross-shard part's freezes (clock seqlock, word locks on htmLock
+    # and globalLock, TL2 token and orecs) and their releases, and the
+    # StoreFamilyBTest lockstep, starvation and deadline gates, three
     # times over.
     build-tsan/tests/store_tests \
         --gtest_filter='*CrossShard*:*FamilyB*' --gtest_repeat=3
